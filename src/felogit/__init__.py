@@ -2,8 +2,9 @@
 
 Standard solvers happily return finite numbers on panels where the
 conditional likelihood has no maximizer. This package decides, before
-estimating, whether a finite unique estimate exists (a rank probe plus a
-quadratic-programming separation test on attribute-difference vectors) and
+estimating, whether a finite unique estimate exists (an exact rank test on
+the within-individual covariate variation plus a quadratic-programming
+separation test on single-swap attribute differences) and
 only then runs the Newton fit. A pooled cross-sectional separation check
 and a simulation experiment are included, along with the ``felogit`` CLI.
 """

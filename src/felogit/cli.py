@@ -25,7 +25,7 @@ from .detector import (
     detect_panel_separation,
     detect_pooled_separation,
 )
-from .errors import FelogitError, NonexistenceError, PanelDataError
+from .errors import FelogitError, NonexistenceError
 from .estimator import DEFAULT_NEWTON_MAX_ITER, CmleFit, fit
 from .panel import load_csv
 from .simulate import FrequencyReport, SimConfig, existence_rate
@@ -198,10 +198,10 @@ def _existence_text(report: ExistenceReport, heading: str) -> str:
         lines.append(f"  separating direction: {_vec(report.direction)}")
         lines.append(f"  kkt margin (min w'u): {report.kkt_margin:.6g}")
     if report.rank is not None:
-        ranks = ", ".join(str(pr.rank) for pr in report.rank.probes)
         ok = "ok" if report.rank.rank_ok else "FAILED"
         lines.append(
-            f"  rank condition: {ok} (rank [{ranks}] vs p={report.rank.p}; probed, not proved)"
+            f"  rank condition: {ok} (within-individual variation has rank"
+            f" {report.rank.probes[0].rank} of p={report.rank.p})"
         )
     if report.dropped_noninformative:
         lines.append(f"  non-informative individuals dropped: {report.dropped_noninformative}")
@@ -219,10 +219,8 @@ def _status_heading(status: str, panel: bool) -> str:
 
 def cmd_check(args) -> int:
     data = load_csv(args.csv)
-    report = detect_panel_separation(
-        data, tol=args.tol, seed=args.seed, max_iter=args.max_iter
-    )
-    options = {"tol": args.tol, "seed": args.seed, "max_iter": args.max_iter}
+    report = detect_panel_separation(data, tol=args.tol, max_iter=args.max_iter)
+    options = {"tol": args.tol, "max_iter": args.max_iter}
     payload = _wrap("check", args.csv, options, existence=_existence_payload(report))
     _emit(args, payload, _existence_text(report, _status_heading(report.status, True)))
     return _STATUS_EXIT[report.status]
@@ -262,14 +260,9 @@ def _fit_text(result: CmleFit) -> str:
 
 def cmd_fit(args) -> int:
     data = load_csv(args.csv)
-    options = {
-        "force": args.force, "tol": args.tol, "seed": args.seed,
-        "max_iter": args.max_iter,
-    }
+    options = {"force": args.force, "tol": args.tol, "max_iter": args.max_iter}
     try:
-        result = fit(
-            data, force=args.force, tol=args.tol, seed=args.seed, max_iter=args.max_iter
-        )
+        result = fit(data, force=args.force, tol=args.tol, max_iter=args.max_iter)
     except NonexistenceError as err:
         report = err.report
         payload = _wrap(
@@ -347,13 +340,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub, seed: bool = True):
+def _add_common(sub):
     sub.add_argument("--tol", type=float, default=DEFAULT_QP_TOL,
                      help="decision tolerance on the QP minimum")
     sub.add_argument("--output", choices=("text", "json"), default="text")
-    if seed:
-        sub.add_argument("--seed", type=int, default=0,
-                         help="seed for the rank-probe draws")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     pooled = commands.add_parser("pooled-check",
                                  help="cross-sectional separation check on stacked rows")
     pooled.add_argument("csv")
-    _add_common(pooled, seed=False)
+    _add_common(pooled)
     pooled.add_argument("--max-iter", type=int, default=DEFAULT_QP_MAX_ITER,
                         help="QP iteration cap")
     pooled.set_defaults(handler=lambda a: cmd_pooled_check(a))
@@ -393,6 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated true coefficient vector of length p")
     sim.add_argument("--effect-scale", type=float, default=1.0)
     sim.add_argument("--reps", type=int, default=1)
+    sim.add_argument("--seed", type=int, default=0,
+                     help="seed of the simulated draws")
     _add_common(sim)
     sim.set_defaults(handler=lambda a: cmd_simulate(a, sim))
 
@@ -404,13 +396,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except PanelDataError as err:
-        print(f"felogit: error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as err:
-        print(f"felogit: error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except FelogitError as err:
+    except (FelogitError, FileNotFoundError) as err:
         print(f"felogit: error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

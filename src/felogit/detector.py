@@ -1,23 +1,29 @@
 """Existence and uniqueness checks for the conditional ML estimate.
 
-Two conditions are probed before estimation. First, a rank condition: the
-matrix stacking every individual's alternative attribute vectors, centered at
-their softmax-weighted mean, must have full column rank (checked numerically
-at a handful of beta values). Second, a separation condition: the estimate
-exists if and only if no nonzero direction weakly dominates every attribute
-difference, which reduces to a box-constrained quadratic program reaching a
-zero minimum. Each constraint vector is unit-normalized so the decision
-threshold is scale-free.
+Two conditions are checked before estimation, both over the informative
+individuals. First, a rank condition: the covariates must vary within
+individuals in every direction, i.e. the stacked period differences
+x_it - x_i1 must have full column rank. At any finite beta the
+softmax-centered alternative attribute vectors span exactly this space, so
+the condition does not depend on beta and one SVD decides it. Second, a
+separation condition: the estimate exists if and only if no nonzero
+direction weakly dominates every attribute difference sum_t (d_t - y_t) x_t.
+Each difference is a sum of single swaps x_s - x_t (y_s = 0, y_t = 1), and
+each swap is itself a difference, so the k(T - k) swaps per individual
+generate the same cone as the C(T, k) - 1 differences. The test reduces to a
+box-constrained quadratic program over the swaps reaching a zero minimum.
+Each constraint vector is unit-normalized so the decision threshold is
+scale-free.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import QP_STATIONARY, QP_ZERO, qp_minimize
-from .altsets import DEFAULT_ENUMERATION_GUARD, attribute_batches
+from ._kernels import QP_MAXITER, QP_STATIONARY, QP_ZERO, qp_minimize
 from .errors import QpConvergenceError
 from .panel import PanelDataset, informative_subset
 
@@ -28,13 +34,11 @@ STATUS_RANK_DEFICIENT = "rank_deficient"
 DEFAULT_QP_TOL = 1e-8
 DEFAULT_KKT_TOL = 1e-6
 DEFAULT_QP_MAX_ITER = 100_000
-DEFAULT_RANK_SEED = 0
-_N_RANDOM_PROBES = 5
 
 
 @dataclass(frozen=True)
 class ProbeRank:
-    """Numerical rank of the centered attribute matrix at one beta value."""
+    """Singular values and numerical rank of the rank test at one beta value."""
 
     beta: np.ndarray
     singular_values: np.ndarray
@@ -43,11 +47,12 @@ class ProbeRank:
 
 @dataclass(frozen=True)
 class RankCheckResult:
-    """Outcome of probing the rank condition at finitely many beta values.
+    """Outcome of the rank condition.
 
-    The condition is quantified over all beta; probing can certify failure
-    but only gives evidence for success, so ``rank_ok`` means "full rank at
-    every probe", not a proof.
+    ``probes`` holds a single entry at beta = 0. Its rank is the exact rank
+    of the within-individual covariate variation, which is the rank of the
+    softmax-centered attribute matrix at every beta, so ``rank_ok`` decides
+    the condition for all beta at once.
     """
 
     p: int
@@ -90,7 +95,7 @@ class ExistenceReport:
 
     ``status`` is one of ``exists_unique``, ``separated``,
     ``rank_deficient``; the last overrides the QP verdict whenever the rank
-    probe fails. ``direction`` is the unit-normalized optimal combination
+    condition fails. ``direction`` is the unit-normalized optimal combination
     u* when separated; its inner product with every constraint vector is at
     least ``-kkt_tolerance`` (the optimality certificate, reported as
     ``kkt_margin``).
@@ -122,20 +127,30 @@ def _dedup_nonzero(rows: np.ndarray) -> QpProblem:
     return QpProblem(vectors=rows, normalized=normalized)
 
 
-def qp_problem_from_panel(data: PanelDataset,
-                          guard: int = DEFAULT_ENUMERATION_GUARD) -> QpProblem:
+def qp_problem_from_panel(data: PanelDataset) -> QpProblem:
     """Constraint vectors of the panel separation test.
 
-    One row per (informative individual, alternative) pair holding
-    sum_t (d_t - y_t) x_t; exact zeros (always including the observed
-    sequence) are dropped and duplicates merged.
+    One row per (informative individual, single swap) pair holding
+    x_s - x_t for a period s with y_s = 0 and a period t with y_t = 1: the
+    difference vector of the alternative that moves one choice from t to s.
+    Individuals are grouped by choice total k; a stable argsort of each
+    outcome row lists the T - k zero periods before the k one periods.
+    Individuals with constant outcomes have no swaps. Exact zeros (a
+    covariate equal in both periods) are dropped and duplicates merged.
     """
-    sub, _ = informative_subset(data)
+    T, p = data.T, data.p
+    totals = data.choice_totals
     blocks = []
-    for idx, _alts, attrs, obs_index in attribute_batches(sub, guard):
-        obs = attrs[np.arange(len(idx)), obs_index]
-        blocks.append((attrs - obs[:, None, :]).reshape(-1, sub.p))
-    rows = np.concatenate(blocks, axis=0) if blocks else np.zeros((0, sub.p))
+    for k in np.unique(totals):
+        if not 0 < k < T:
+            continue
+        members = totals == k
+        X = data.covariates[members]
+        order = np.argsort(data.outcomes[members], axis=1, kind="stable")[:, :, None]
+        zeros = np.take_along_axis(X, order[:, :T - k], axis=1)  # (n_k, T - k, p)
+        ones = np.take_along_axis(X, order[:, T - k:], axis=1)   # (n_k, k, p)
+        blocks.append((zeros[:, :, None, :] - ones[:, None, :, :]).reshape(-1, p))
+    rows = np.concatenate(blocks, axis=0) if blocks else np.zeros((0, p))
     return _dedup_nonzero(rows)
 
 
@@ -153,47 +168,43 @@ def qp_problem_from_pooled(data: PanelDataset) -> QpProblem:
     return _dedup_nonzero(rows)
 
 
-def rank_check(data: PanelDataset, probes=None, *, seed: int = DEFAULT_RANK_SEED,
-               guard: int = DEFAULT_ENUMERATION_GUARD) -> RankCheckResult:
-    """Probe the rank condition at beta = 0 plus seeded random draws.
+def rank_check(data: PanelDataset) -> RankCheckResult:
+    """Decide the rank condition exactly from the within-individual variation.
 
-    At each probe the (r_n, p) matrix of softmax-centered attribute vectors
-    is assembled over the informative individuals and its numerical rank is
-    computed from singular values with threshold
-    sigma_max * max(r_n, p) * machine epsilon.
+    The rank is that of the stacked period differences x_it - x_i1 of the
+    informative individuals, from singular values with threshold
+    sigma_max * max(rows, p) * machine epsilon. Differences keep a covariate
+    that never changes within an individual exactly zero, where demeaning
+    would leave round-off that the threshold counts as rank.
+
+    The reported singular values are those of the attribute vectors of all
+    alternatives centered at their beta = 0 (uniform) mean, in closed form:
+    sqrt(eig(sum_i C(T, k_i) k_i (T - k_i) / (T (T - 1)) Xc_i' Xc_i)), with
+    Xc_i individual i's demeaned covariate matrix; the weight is the integer
+    C(T - 2, k_i - 1). They are computed as the singular values of the
+    stacked weighted rows sqrt(C(T - 2, k_i - 1)) Xc_i.
     """
-    sub, _ = informative_subset(data)
-    p = sub.p
-    if probes is None:
-        rng = np.random.default_rng(seed)
-        probes = [np.zeros(p)] + [rng.standard_normal(p) for _ in range(_N_RANDOM_PROBES)]
-    probes = [np.asarray(b, dtype=np.float64).reshape(-1) for b in probes]
-    if not probes:
-        raise ValueError("probes must be non-empty")
-    for b in probes:
-        if b.shape != (p,):
-            raise ValueError(f"probe has length {b.shape[0]}, expected {p}")
+    T, p = data.T, data.p
+    mask = data.informative_mask
+    X = data.covariates[mask]
+    rank = 0
+    singular_values = np.zeros(p)
+    if X.size:
+        diffs = (X[:, 1:, :] - X[:, :1, :]).reshape(-1, p)
+        sv = np.linalg.svd(diffs, compute_uv=False)
+        if sv[0] > 0:
+            rank = int((sv > sv[0] * max(diffs.shape) * np.finfo(np.float64).eps).sum())
 
-    batches = list(attribute_batches(sub, guard))
-    results = []
-    for beta in probes:
-        blocks = []
-        for idx, _alts, attrs, _obs in batches:
-            e = attrs @ beta                      # (nk, r)
-            e -= e.max(axis=1, keepdims=True)
-            w = np.exp(e)
-            w /= w.sum(axis=1, keepdims=True)
-            mu = np.einsum("ir,irp->ip", w, attrs)
-            blocks.append((attrs - mu[:, None, :]).reshape(-1, p))
-        M = np.concatenate(blocks, axis=0)
-        sv = np.linalg.svd(M, compute_uv=False)
-        if sv.size and sv[0] > 0:
-            thresh = sv[0] * max(M.shape) * np.finfo(np.float64).eps
-            rank = int((sv > thresh).sum())
-        else:
-            rank = 0
-        results.append(ProbeRank(beta=beta, singular_values=sv, rank=rank))
-    return RankCheckResult(p=p, probes=tuple(results))
+        # log C(T - 2, k - 1), shifted by its maximum so that large T cannot
+        # overflow; one SVD of the weighted demeaned rows avoids squaring them
+        log_w = np.array([math.log(math.comb(T - 2, k - 1)) if 0 < k < T else -np.inf
+                          for k in range(T + 1)])[data.choice_totals[mask]]
+        top = log_w.max()
+        centered = (X - X.mean(axis=1, keepdims=True)) * np.exp(0.5 * (log_w - top))[:, None, None]
+        sv = np.linalg.svd(centered.reshape(-1, p), compute_uv=False)
+        singular_values[:sv.size] = math.exp(0.5 * top) * sv
+    probe = ProbeRank(beta=np.zeros(p), singular_values=singular_values, rank=rank)
+    return RankCheckResult(p=p, probes=(probe,))
 
 
 def _solve_qp(problem: QpProblem, tol: float, kkt_tol: float, max_iter: int):
@@ -201,28 +212,34 @@ def _solve_qp(problem: QpProblem, tol: float, kkt_tol: float, max_iter: int):
         problem.normalized, tol, kkt_tol, max_iter
     )
     if flag not in (QP_ZERO, QP_STATIONARY):
-        raise QpConvergenceError("QP did not converge; raise iteration cap")
+        if flag == QP_MAXITER:
+            reason = "QP did not converge; raise iteration cap"
+        else:
+            reason = ("QP stalled (line search made no progress);"
+                      " a higher iteration cap will not help")
+        raise QpConvergenceError(
+            f"{reason}: q={q:.6g}, KKT violation {viol:.3g} after {iters} iterations",
+            flag=flag, q=q, kkt_violation=viol, iterations=iters,
+        )
     return q, u, iters, flag
 
 
 def detect_panel_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
                             kkt_tol: float = DEFAULT_KKT_TOL,
-                            max_iter: int = DEFAULT_QP_MAX_ITER,
-                            seed: int = DEFAULT_RANK_SEED,
-                            guard: int = DEFAULT_ENUMERATION_GUARD) -> ExistenceReport:
+                            max_iter: int = DEFAULT_QP_MAX_ITER) -> ExistenceReport:
     """Decide whether the conditional ML estimate exists and is unique.
 
-    Builds the difference-vector QP over all informative individuals and
+    Builds the single-swap QP over all informative individuals and
     minimizes |sum_k lam_k w_k|^2 over lam_k >= 1 by projected gradient
     descent from lam = 1. A minimum at most ``tol`` means a finite unique
     estimate exists; otherwise the data are separated and the optimal
     combination (unit-normalized) is reported as the separating direction.
-    The rank condition is probed as well and, when it fails, overrides the
+    The rank condition is decided as well and, when it fails, overrides the
     QP verdict with ``rank_deficient``. Deterministic given inputs.
     """
     sub, dropped = informative_subset(data)
-    rank = rank_check(sub, seed=seed, guard=guard)
-    problem = qp_problem_from_panel(sub, guard=guard)
+    rank = rank_check(sub)
+    problem = qp_problem_from_panel(sub)
     if problem.size == 0:
         return ExistenceReport(
             status=STATUS_RANK_DEFICIENT,
@@ -234,7 +251,7 @@ def detect_panel_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
             kkt_tolerance=kkt_tol,
             dropped_noninformative=dropped,
             rank=rank,
-            message="no within-individual covariate variation; every difference vector is zero",
+            message="no within-individual covariate variation; every swap vector is zero",
         )
     q, u, iters, flag = _solve_qp(problem, tol, kkt_tol, max_iter)
     report = ExistenceReport(
@@ -254,7 +271,8 @@ def detect_panel_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
         report.kkt_margin = float((problem.normalized @ direction).min())
     if not rank.rank_ok:
         report.status = STATUS_RANK_DEFICIENT
-        report.message = "rank condition failed at a probe point"
+        report.message = (f"covariates vary within individuals in only"
+                          f" {rank.probes[0].rank} of {rank.p} directions")
     return report
 
 

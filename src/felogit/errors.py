@@ -20,7 +20,21 @@ class AlternativeSetTooLargeError(FelogitError, RuntimeError):
 
 
 class QpConvergenceError(FelogitError, RuntimeError):
-    """The projected-gradient QP solver hit its iteration cap."""
+    """The projected-gradient QP solver stopped without a decision.
+
+    Carries the solver state at the stop: its exit ``flag`` (the iteration
+    cap, ``QP_MAXITER``, or a stalled line search, ``QP_STALL``), the last
+    objective value ``q``, the KKT violation ``kkt_violation`` and the
+    iteration count ``iterations``.
+    """
+
+    def __init__(self, message: str, *, flag: int, q: float, kkt_violation: float,
+                 iterations: int):
+        super().__init__(message)
+        self.flag = flag
+        self.q = q
+        self.kkt_violation = kkt_violation
+        self.iterations = iterations
 
 
 class NonexistenceError(FelogitError, RuntimeError):

@@ -19,7 +19,6 @@ from .detector import (
     STATUS_EXISTS,
     STATUS_SEPARATED,
     DEFAULT_QP_TOL,
-    DEFAULT_RANK_SEED,
     ExistenceReport,
     detect_panel_separation,
 )
@@ -30,6 +29,8 @@ DEFAULT_GRAD_TOL = 1e-8
 DEFAULT_NEWTON_MAX_ITER = 100
 _ARMIJO = 1e-4
 _SHRINK = 0.5
+# predicted gains below this many ulps of |loglik| are lost in its round-off
+_FLAT_ULPS = 16.0
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,6 @@ def fit(data: PanelDataset, force: bool = False, *,
         grad_tol: float = DEFAULT_GRAD_TOL,
         max_iter: int = DEFAULT_NEWTON_MAX_ITER,
         tol: float = DEFAULT_QP_TOL,
-        seed: int = DEFAULT_RANK_SEED,
         guard: int = DEFAULT_ENUMERATION_GUARD) -> CmleFit:
     """Compute the conditional ML estimate, refusing when it does not exist.
 
@@ -145,10 +145,12 @@ def fit(data: PanelDataset, force: bool = False, *,
 
     Newton's method starts at beta = 0 with Armijo backtracking on the
     log-likelihood and stops when the sup-norm of the score drops below
-    ``grad_tol``. Standard errors come from the inverse observed information
-    at the estimate.
+    ``grad_tol``. When the predicted gain of a step is within the round-off
+    of the log-likelihood, the Armijo test cannot see it, and the full step
+    is taken untested. Standard errors come from the inverse observed
+    information at the estimate.
     """
-    gate = detect_panel_separation(data, tol=tol, seed=seed, guard=guard)
+    gate = detect_panel_separation(data, tol=tol)
     if gate.status != STATUS_EXISTS and not force:
         if gate.status == STATUS_SEPARATED:
             raise NonexistenceError("estimate does not exist (separated)", report=gate)
@@ -176,11 +178,12 @@ def fit(data: PanelDataset, force: bool = False, *,
         if slope <= 0.0:
             delta = score.copy()  # fall back to steepest ascent
             slope = float(score @ score)
+        flat = slope <= _FLAT_ULPS * np.finfo(np.float64).eps * max(1.0, abs(ll))
         alpha = 1.0
         while True:
             cand = beta + alpha * delta
             ll_c = conditional_loglik(sub, cand)
-            if ll_c >= ll + _ARMIJO * alpha * slope:
+            if flat or ll_c >= ll + _ARMIJO * alpha * slope:
                 break
             alpha *= _SHRINK
             if alpha < 1e-16:

@@ -105,7 +105,7 @@ def existence_rate(config: SimConfig, *, tol: float = DEFAULT_QP_TOL) -> Frequen
     """Run both separation detectors on every replication.
 
     A replication counts as "exists" for the panel detector only when the
-    full check (rank probe included) reports a unique finite estimate;
+    full check (rank condition included) reports a unique finite estimate;
     panels with no informative individual at all count as non-existence with
     status ``no_informative_individuals`` and no QP value. A replication on
     which a QP hits its iteration cap is recorded as ``qp_did_not_converge``

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the production code paths it is used to
 check: denominators come from explicit subset enumeration, derivatives from
 central finite differences, separation verdicts from sign inspection or a
-direction grid.
+direction grid, constraint sets and the rank at beta = 0 from enumerating
+every alternative.
 """
 
 from __future__ import annotations
@@ -80,6 +81,52 @@ def sign_oracle_p1(data: PanelDataset) -> bool:
     if not values:
         return True  # no constraints at all: any direction separates weakly
     return all(v >= 0.0 for v in values) or all(v <= 0.0 for v in values)
+
+
+def enum_differences(data: PanelDataset) -> np.ndarray:
+    """Every enumerated difference vector sum_t (d_t - y_t) x_t, one row per
+    (informative individual, alternative d with sum d = sum y), zeros kept."""
+    rows = []
+    for i in range(data.n):
+        x, y = data.covariates[i], data.outcomes[i]
+        k = int(y.sum())
+        if not 0 < k < data.T:
+            continue
+        for ones in itertools.combinations(range(data.T), k):
+            d = np.zeros(data.T)
+            d[list(ones)] = 1.0
+            rows.append((d - y) @ x)
+    return np.array(rows).reshape(-1, data.p)
+
+
+def enum_centered_attributes(data: PanelDataset) -> np.ndarray:
+    """The enumerated attribute vectors sum_t d_t x_t of the informative
+    individuals, each centered at its individual's beta = 0 (uniform) mean."""
+    blocks = []
+    for i in range(data.n):
+        x, y = data.covariates[i], data.outcomes[i]
+        k = int(y.sum())
+        if not 0 < k < data.T:
+            continue
+        attrs = np.array([x[list(ones)].sum(axis=0)
+                          for ones in itertools.combinations(range(data.T), k)])
+        blocks.append(attrs - attrs.mean(axis=0))
+    return np.vstack(blocks)
+
+
+def integer_panel(rng) -> PanelDataset:
+    """Random panel (n 1-6, T 2-8, p 1-3) with covariates in {-2, ..., 2},
+    whose differences and sums are exact in floating point, and fair-coin
+    outcomes, redrawn until at least one individual is informative."""
+    n = int(rng.integers(1, 7))
+    T = int(rng.integers(2, 9))
+    p = int(rng.integers(1, 4))
+    x = rng.integers(-2, 3, size=(n, T, p)).astype(np.float64)
+    while True:
+        y = (rng.random((n, T)) < 0.5).astype(np.int8)
+        k = y.sum(axis=1)
+        if ((k > 0) & (k < T)).any():
+            return PanelDataset.from_arrays(x, y)
 
 
 def pooled_separable_grid(xs, ys, n_angles=7200) -> bool:

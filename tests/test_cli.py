@@ -2,6 +2,7 @@ import json
 import math
 
 import jsonschema
+import numpy as np
 import pytest
 
 from felogit import cli_report_schema_path
@@ -69,6 +70,44 @@ def test_check_rank_deficient_exits_3(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "check", path)
     assert code == 3
     assert "RANK-DEFICIENT" in out
+
+
+def _time_constant_csv(values):
+    # T = 7, y = (1, 1, 1, 1, 1, 0, 0), each individual's x1 fixed over time
+    y = [1, 1, 1, 1, 1, 0, 0]
+    rows = [f"{i},{t + 1},{y[t]},{v}" for i, v in enumerate(values, start=1) for t in range(7)]
+    return "id,t,y,x1\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("values", [(0.7,), (0.7, 2.7)])
+def test_time_constant_covariate_exits_3_and_fit_refuses(capsys, tmp_path, values):
+    path = _write(tmp_path, _time_constant_csv(values))
+    code, out, _ = run_cli(capsys, "check", path)
+    assert code == 3
+    assert "RANK-DEFICIENT" in out
+    code, out, _ = run_cli(capsys, "fit", path)
+    assert code == 3
+    assert "refusing to estimate" in out
+    assert "coef" not in out
+
+
+def test_check_long_panel_is_decided(capsys, tmp_path):
+    # T = 30 with k = 15: C(30, 15) ~ 1.6e8 alternatives per individual
+    rng = np.random.default_rng(83)
+    rows = []
+    for i in range(1, 21):
+        ones = set(rng.permutation(30)[:15].tolist())
+        rows += [f"{i},{t + 1},{int(t in ones)},{rng.standard_normal():.6f}" for t in range(30)]
+    path = _write(tmp_path, "id,t,y,x1\n" + "\n".join(rows) + "\n")
+    code, out, err = run_cli(capsys, "check", path, "--output", "json")
+    assert code == 0, err
+    assert json.loads(out)["existence"]["status"] == "exists_unique"
+
+
+def test_seed_is_a_simulate_option_only(capsys, fixture_path):
+    code, _, err = run_cli(capsys, "check", str(fixture_path), "--seed", "1")
+    assert code == 1
+    assert "--seed" in err
 
 
 def test_check_malformed_csv_exits_1(capsys, tmp_path):

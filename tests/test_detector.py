@@ -4,21 +4,30 @@ import pytest
 from felogit import (
     PanelDataset,
     QpConvergenceError,
+    SimConfig,
     STATUS_EXISTS,
     STATUS_RANK_DEFICIENT,
     STATUS_SEPARATED,
     detect_panel_separation,
     detect_pooled_separation,
     difference_vectors,
+    generate_panel,
     informative_subset,
     qp_problem_from_panel,
     qp_problem_from_pooled,
     rank_check,
 )
 from felogit import _kernels
-from felogit.detector import _dedup_nonzero
+from felogit.detector import DEFAULT_KKT_TOL, DEFAULT_QP_MAX_ITER, DEFAULT_QP_TOL, _dedup_nonzero
 
-from oracles import pooled_separable_grid, random_panel, sign_oracle_p1
+from oracles import (
+    enum_centered_attributes,
+    enum_differences,
+    integer_panel,
+    pooled_separable_grid,
+    random_panel,
+    sign_oracle_p1,
+)
 
 
 def _panel(x_rows, y_rows):
@@ -83,12 +92,12 @@ def test_rank_of_fixture_via_independent_svd(fixture_panel):
     stacked = np.vstack(rows)
     singulars = np.linalg.svd(stacked, compute_uv=False)
     assert singulars[0] > 1e-6  # rank 1 for p = 1
-    result = rank_check(fixture_panel, probes=[np.zeros(1)])
+    result = rank_check(fixture_panel)
     assert result.rank_ok and result.probes[0].rank == 1
 
 
 def test_rank_rows_for_two_period_individual():
-    result = rank_check(SINGLE, probes=[np.zeros(1)])
+    result = rank_check(SINGLE)
     sv = result.probes[0].singular_values
     # rows are -0.5 and +0.5, so the only singular value is sqrt(0.5)
     assert sv[0] == pytest.approx(np.sqrt(0.5), rel=1e-12)
@@ -233,8 +242,10 @@ def test_qp_iteration_cap_raises():
                   [[-0.6, -0.8], [0.0, 0.0]]]),
         np.array([[1, 0], [1, 0], [1, 0]]),
     )
-    with pytest.raises(QpConvergenceError, match="raise iteration cap"):
+    with pytest.raises(QpConvergenceError, match="raise iteration cap") as info:
         detect_panel_separation(data, max_iter=2)
+    assert info.value.flag == _kernels.QP_MAXITER
+    assert info.value.iterations == 2
 
 
 def test_pooled_problem_shape(fixture_panel):
@@ -257,3 +268,75 @@ def test_long_panel_with_rare_events():
     report = detect_panel_separation(data)
     assert report.status in (STATUS_EXISTS, STATUS_SEPARATED)
     assert report.n_constraints > 0
+
+
+def _enumerated_verdict(data):
+    """Verdict and rank from every enumerated alternative (the swap-free path)."""
+    rank = int(np.linalg.matrix_rank(enum_centered_attributes(data)))
+    rows = enum_differences(data)
+    rows = np.unique(rows[np.linalg.norm(rows, axis=1) > 0], axis=0)
+    if rank < data.p or rows.size == 0:
+        return STATUS_RANK_DEFICIENT, rank
+    unit = rows / np.linalg.norm(rows, axis=1)[:, None]
+    flag = _kernels.qp_minimize(unit, DEFAULT_QP_TOL, DEFAULT_KKT_TOL, DEFAULT_QP_MAX_ITER)[4]
+    assert flag in (_kernels.QP_ZERO, _kernels.QP_STATIONARY)
+    return (STATUS_EXISTS if flag == _kernels.QP_ZERO else STATUS_SEPARATED), rank
+
+
+def test_swaps_and_exact_rank_match_enumeration_oracle():
+    # integer covariates keep enumerated sums and swaps exact on both sides
+    rng = np.random.default_rng(71)
+    counts = {STATUS_EXISTS: 0, STATUS_SEPARATED: 0, STATUS_RANK_DEFICIENT: 0}
+    for _ in range(320):
+        data = integer_panel(rng)
+        status, rank = _enumerated_verdict(data)
+        report = detect_panel_separation(data)
+        assert report.status == status
+        assert report.rank.probes[0].rank == rank
+        counts[status] += 1
+    assert min(counts.values()) >= 20
+
+
+def test_closed_form_singular_values_match_enumeration():
+    rng = np.random.default_rng(73)
+    for _ in range(40):
+        data = random_panel(rng, n_max=6, T_max=7)
+        expected = np.linalg.svd(enum_centered_attributes(data), compute_uv=False)
+        sv = rank_check(data).probes[0].singular_values
+        assert sv.shape == (data.p,)
+        assert np.allclose(sv[:expected.size], expected, rtol=1e-10, atol=1e-12 * expected[0])
+        assert np.allclose(sv[expected.size:], 0.0, atol=1e-12 * expected[0])
+
+
+def test_closed_form_singular_values_stay_finite_for_large_T():
+    # C(1200, 600) overflows a float; the weights C(T - 2, k - 1) are scaled
+    rng = np.random.default_rng(89)
+    x = rng.standard_normal((2, 1200, 2))
+    y = np.zeros((2, 1200), dtype=int)
+    y[:, :600] = 1
+    result = rank_check(PanelDataset.from_arrays(x, y))
+    assert result.rank_ok
+    assert np.isfinite(result.probes[0].singular_values).all()
+    assert result.probes[0].singular_values[1] > 0.0
+
+
+def test_swap_vectors_of_one_individual():
+    # y = (0, 1, 0, 1): zeros at periods 1, 3 and ones at 2, 4 give the four
+    # swaps x_s - x_t
+    x = [[1.0, 10.0, 100.0, 1000.0]]
+    problem = qp_problem_from_panel(_panel(x, [[0, 1, 0, 1]]))
+    assert sorted(problem.vectors[:, 0].tolist()) == [-999.0, -900.0, -9.0, 90.0]
+
+
+def test_qp_stall_is_not_reported_as_iteration_cap():
+    # a simulated panel on which today's projected-gradient line search
+    # stalls well short of the cap; raising the cap cannot help, so the
+    # message must not suggest it
+    config = SimConfig(n=10, T=4, p=2, beta0=np.array([2.0, -1.0]), seed=81)
+    with pytest.raises(QpConvergenceError) as info:
+        detect_panel_separation(generate_panel(config, rep=0))
+    err = info.value
+    assert err.flag == _kernels.QP_STALL
+    assert err.iterations < DEFAULT_QP_MAX_ITER
+    assert err.q > DEFAULT_QP_TOL and err.kkt_violation > DEFAULT_KKT_TOL / 2
+    assert "stalled" in str(err) and "raise iteration cap" not in str(err)

@@ -231,3 +231,18 @@ def test_period_exchangeability_of_estimate():
 def test_dimension_mismatch_rejected(fixture_panel):
     with pytest.raises(ValueError, match="length"):
         conditional_loglik(fixture_panel, [0.0, 1.0])
+
+
+def test_newton_converges_when_gains_fall_below_loglik_roundoff():
+    # with the score near 1e-8 the gain of a Newton step is below the
+    # round-off of loglik ~ -100; an Armijo test on it shrinks every step
+    # and Newton used to stall at gradient_norm ~ 2e-8 after 100 iterations
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal((100, 4, 2))
+    effects = rng.standard_normal(100)
+    noise = rng.logistic(size=(100, 4))
+    y = (x @ np.array([1.0, -0.5]) + effects[:, None] + noise > 0).astype(np.int8)
+    result = fit(PanelDataset.from_arrays(x, y))
+    assert result.converged
+    assert result.gradient_norm <= 1e-8
+    assert result.iterations < 20
