@@ -1,50 +1,26 @@
-"""Hot numeric kernels: numba-compiled fast path with a pure-numpy fallback.
+"""Hot numeric kernels, in numpy.
 
-Two loops dominate runtime: the per-individual recursion that evaluates the
-conditional-likelihood denominator (and its gradient), and the
-projected-gradient iteration of the box-constrained separation QP. Both are
-implemented twice, once as plain loops compiled by numba and once as
-vectorized numpy. The live backend is numba when importable, unless the
-environment variable ``FELOGIT_NUMBA`` is set to ``0``/``false``/``off``/``no``.
-
-Backend results agree to floating-point noise (~1e-14 relative); within one
-backend every computation is deterministic.
+Two computations dominate runtime: the per-individual recursion that
+evaluates the conditional-likelihood denominator (and its gradient), and the
+nonnegative least-squares solve behind the separation QP. Both are
+deterministic given their inputs.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-_ENV_FLAG = "FELOGIT_NUMBA"
 
 # QP solver exit flags
 QP_ZERO = 0         # objective reached the decision tolerance
 QP_STATIONARY = 1   # KKT-stationary at a positive minimum
-QP_MAXITER = 2      # iteration cap hit
-QP_STALL = 3        # line search could not make progress
-
-
-def _env_allows_numba() -> bool:
-    return os.environ.get(_ENV_FLAG, "1").strip().lower() not in {"0", "false", "off", "no"}
-
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env-flag fallback
-    njit = None
-    _HAVE_NUMBA = False
-
-_USE_NUMBA = _HAVE_NUMBA and _env_allows_numba()
+QP_MAXITER = 2      # cap on active-set steps hit
 
 
 def active_backend() -> str:
-    """Name of the kernel backend in use: ``"numba"`` or ``"numpy"``."""
-    return "numba" if _USE_NUMBA else "numpy"
+    """Name of the kernel backend: always ``"numpy"``."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +39,7 @@ def active_backend() -> str:
 
 
 def logdenom_numpy(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarray):
-    """Vectorized fallback. scores (n,T), covariates (n,T,p), totals (n,).
+    """Vectorized recursion. scores (n,T), covariates (n,T,p), totals (n,).
 
     Returns ``(logden, mean)`` where ``logden[i]`` is log D_i and
     ``mean[i]`` is d(log D_i)/d(beta).
@@ -122,256 +98,61 @@ def logdenom_numpy(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarra
     return logden, mean
 
 
-def _logdenom_loops(scores, covariates, totals):
-    n, T = scores.shape
-    p = covariates.shape[2]
-    logden = np.zeros(n)
-    mean = np.zeros((n, p))
-    for i in range(n):
-        k = totals[i]
-        if k == 0:
-            continue
-        if k == T:
-            acc = 0.0
-            for t in range(T):
-                acc += scores[i, t]
-                for q in range(p):
-                    mean[i, q] += covariates[i, t, q]
-            logden[i] = acc
-            continue
-        equal = True
-        for t in range(1, T):
-            if scores[i, t] != scores[i, 0]:
-                equal = False
-                break
-        if equal:
-            kf = float(k)
-            Tf = float(T)
-            logden[i] = (
-                math.lgamma(Tf + 1.0)
-                - math.lgamma(kf + 1.0)
-                - math.lgamma(Tf - kf + 1.0)
-                + kf * scores[i, 0]
-            )
-            frac = kf / Tf
-            for q in range(p):
-                acc = 0.0
-                for t in range(T):
-                    acc += covariates[i, t, q]
-                mean[i, q] = frac * acc
-            continue
-        lf = np.full(k + 1, -np.inf)
-        lf[0] = 0.0
-        h = np.zeros((k + 1, p))
-        for t in range(T):
-            st = scores[i, t]
-            top = t + 1
-            if top > k:
-                top = k
-            for m in range(top, 0, -1):
-                a = lf[m]
-                b = lf[m - 1] + st
-                if a == -np.inf:
-                    c = b
-                    w1 = 0.0
-                    w2 = 1.0
-                else:
-                    if a == b:
-                        c = a + 0.6931471805599453
-                    elif a > b:
-                        c = a + math.log1p(math.exp(b - a))
-                    else:
-                        c = b + math.log1p(math.exp(a - b))
-                    w1 = math.exp(a - c)
-                    w2 = math.exp(b - c)
-                for q in range(p):
-                    h[m, q] = w1 * h[m, q] + w2 * (h[m - 1, q] + covariates[i, t, q])
-                lf[m] = c
-        logden[i] = lf[k]
-        for q in range(p):
-            mean[i, q] = h[k, q]
-    return logden, mean
+logdenom_batch = logdenom_numpy
 
 
 # ---------------------------------------------------------------------------
-# Box-constrained QP: minimize |W' lam|^2 over lam >= 1 by projected gradient
-# descent with Armijo backtracking. W holds unit constraint vectors as rows.
+# Separation QP: minimize |W' lam|^2 over lam >= 1, W holding unit constraint
+# vectors as rows. With lam = 1 + mu it is nonnegative least squares,
+# minimize |W' mu + W' 1|^2 over mu >= 0, which the Lawson-Hanson active-set
+# method (Lawson & Hanson 1974, ch. 23) solves exactly in finitely many steps.
 # ---------------------------------------------------------------------------
 
 
-def qp_numpy(W: np.ndarray, tol: float, kkt_tol: float, max_iter: int,
-             armijo: float = 1e-4, shrink: float = 0.5):
-    """Fallback projected-gradient solve. Returns (lam, q, u, iters, flag, viol).
+def qp_minimize(W: np.ndarray, tol: float, kkt_tol: float, max_iter: int):
+    """Lawson-Hanson solve. Returns (lam, q, u, iters, flag, viol).
 
-    The trial step is the Barzilai-Borwein estimate (safeguarded), then cut
-    back by the Armijo test; without it the iteration crawls when two
-    constraint vectors are nearly antipodal.
+    ``u = W' lam`` and ``q = |u|^2``. Each outer step frees the bound column
+    whose w'u/|u| is most negative; the inner loop then solves least squares
+    on the free columns and, while a free coefficient comes out nonpositive,
+    steps back to the boundary and returns that column to its bound.
+    ``iters`` counts outer steps and ``viol`` is the largest -w'u/|u| (the
+    free columns sit at w'u = 0 up to round-off). The flag is ``QP_ZERO``
+    once q <= tol, ``QP_STATIONARY`` once viol <= kkt_tol / 2, and
+    ``QP_MAXITER`` when ``max_iter`` outer steps decided neither.
     """
     W = np.ascontiguousarray(W, dtype=np.float64)
     m = W.shape[0]
-    lam = np.ones(m)
-    u = W.T @ lam
-    q = float(u @ u)
-    step = 1.0 / m
-    prev_lam = None
-    prev_g = None
+    b = W.sum(axis=0)
+    free = np.zeros(0, dtype=np.intp)
+    mu = np.zeros(0)
     it = 0
-    viol = np.inf
-    while it < max_iter:
-        it += 1
+    while True:
+        u = b + mu @ W[free]
+        q = float(u @ u)
+        lam = np.ones(m)
+        lam[free] += mu
         if q <= tol:
             return lam, q, u, it, QP_ZERO, 0.0
-        g = 2.0 * (W @ u)
-        wu = (0.5 / math.sqrt(q)) * g  # w_k' u / |u|
-        lower = lam <= 1.0 + 1e-12
-        viol = max(
-            float(np.max(np.maximum(-wu[lower], 0.0), initial=0.0)),
-            float(np.max(np.abs(wu[~lower]), initial=0.0)),
-        )
+        wu = (W @ u) / math.sqrt(q)
+        j = int(np.argmin(wu))
+        viol = max(-float(wu[j]), 0.0)
         if viol <= 0.5 * kkt_tol:
             return lam, q, u, it, QP_STATIONARY, viol
-        alpha = 4.0 * step
-        if prev_lam is not None:
-            s = lam - prev_lam
-            y = g - prev_g
-            sy = float(s @ y)
-            if sy > 0.0:
-                alpha = min(max(float(s @ s) / sy, 1e-12), 1e12)
-        prev_lam = lam
-        prev_g = g
-        while True:
-            cand = np.maximum(lam - alpha * g, 1.0)
-            gd = float(g @ (cand - lam))
-            u_c = W.T @ cand
-            q_c = float(u_c @ u_c)
-            if q_c <= q + armijo * gd or alpha <= 1e-18:
-                break
-            alpha *= shrink
-        if gd == 0.0:
-            return lam, q, u, it, QP_STALL, viol
-        lam = cand
-        u = u_c
-        q = q_c
-        step = alpha
-    return lam, q, u, it, QP_MAXITER, viol
-
-
-def _qp_loops(W, tol, kkt_tol, max_iter, armijo, shrink):
-    m, p = W.shape
-    lam = np.ones(m)
-    u = np.zeros(p)
-    for k in range(m):
-        for j in range(p):
-            u[j] += W[k, j]
-    q = 0.0
-    for j in range(p):
-        q += u[j] * u[j]
-    g = np.zeros(m)
-    cand = np.zeros(m)
-    u_c = np.zeros(p)
-    prev_lam = np.zeros(m)
-    prev_g = np.zeros(m)
-    have_prev = False
-    step = 1.0 / m
-    it = 0
-    viol = np.inf
-    while it < max_iter:
+        if it >= max_iter:
+            return lam, q, u, it, QP_MAXITER, viol
         it += 1
-        if q <= tol:
-            return lam, q, u, it, QP_ZERO, 0.0
-        inv_norm = 0.5 / math.sqrt(q)
-        viol = 0.0
-        for k in range(m):
-            acc = 0.0
-            for j in range(p):
-                acc += W[k, j] * u[j]
-            g[k] = 2.0 * acc
-            wu = acc * 2.0 * inv_norm
-            if lam[k] <= 1.0 + 1e-12:
-                if -wu > viol:
-                    viol = -wu
-            else:
-                if abs(wu) > viol:
-                    viol = abs(wu)
-        if viol <= 0.5 * kkt_tol:
-            return lam, q, u, it, QP_STATIONARY, viol
-        alpha = 4.0 * step
-        if have_prev:
-            ss = 0.0
-            sy = 0.0
-            for k in range(m):
-                s_k = lam[k] - prev_lam[k]
-                ss += s_k * s_k
-                sy += s_k * (g[k] - prev_g[k])
-            if sy > 0.0:
-                alpha = ss / sy
-                if alpha < 1e-12:
-                    alpha = 1e-12
-                elif alpha > 1e12:
-                    alpha = 1e12
-        for k in range(m):
-            prev_lam[k] = lam[k]
-            prev_g[k] = g[k]
-        have_prev = True
-        gd = 0.0
-        q_c = 0.0
+        free = np.append(free, j)
+        mu = np.append(mu, 0.0)
         while True:
-            gd = 0.0
-            for k in range(m):
-                c = lam[k] - alpha * g[k]
-                if c < 1.0:
-                    c = 1.0
-                cand[k] = c
-                gd += g[k] * (c - lam[k])
-            for j in range(p):
-                u_c[j] = 0.0
-            for k in range(m):
-                for j in range(p):
-                    u_c[j] += cand[k] * W[k, j]
-            q_c = 0.0
-            for j in range(p):
-                q_c += u_c[j] * u_c[j]
-            if q_c <= q + armijo * gd or alpha <= 1e-18:
+            s = np.linalg.lstsq(W[free].T, -b, rcond=None)[0]
+            if (s > 0.0).all():
+                mu = s
                 break
-            alpha *= shrink
-        if gd == 0.0:
-            return lam, q, u, it, QP_STALL, viol
-        for k in range(m):
-            lam[k] = cand[k]
-        for j in range(p):
-            u[j] = u_c[j]
-        q = q_c
-        step = alpha
-    return lam, q, u, it, QP_MAXITER, viol
-
-
-if _HAVE_NUMBA:
-    logdenom_numba = njit(cache=True)(_logdenom_loops)
-    _qp_numba_raw = njit(cache=True)(_qp_loops)
-
-    def qp_numba(W, tol, kkt_tol, max_iter, armijo=1e-4, shrink=0.5):
-        W = np.ascontiguousarray(W, dtype=np.float64)
-        return _qp_numba_raw(W, tol, kkt_tol, max_iter, armijo, shrink)
-
-else:  # pragma: no cover
-    logdenom_numba = None
-    qp_numba = None
-
-
-def _logdenom_dispatch(scores, covariates, totals):
-    scores = np.ascontiguousarray(scores, dtype=np.float64)
-    covariates = np.ascontiguousarray(covariates, dtype=np.float64)
-    totals = np.ascontiguousarray(totals, dtype=np.int64)
-    if _USE_NUMBA:
-        return logdenom_numba(scores, covariates, totals)
-    return logdenom_numpy(scores, covariates, totals)
-
-
-def _qp_dispatch(W, tol, kkt_tol, max_iter, armijo=1e-4, shrink=0.5):
-    if _USE_NUMBA:
-        return qp_numba(W, tol, kkt_tol, int(max_iter), armijo, shrink)
-    return qp_numpy(W, tol, kkt_tol, int(max_iter), armijo, shrink)
-
-
-logdenom_batch = _logdenom_dispatch
-qp_minimize = _qp_dispatch
+            neg = np.flatnonzero(s <= 0.0)
+            ratio = mu[neg] / np.maximum(mu[neg] - s[neg], np.finfo(np.float64).tiny)
+            k = int(np.argmin(ratio))
+            mu = mu + ratio[k] * (s - mu)
+            mu[neg[k]] = 0.0
+            keep = mu > 0.0
+            free, mu = free[keep], mu[keep]

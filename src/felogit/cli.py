@@ -48,6 +48,13 @@ _BANNER = {
     STATUS_RANK_DEFICIENT: "RANK-DEFICIENT",
 }
 
+# banner and reason of a forced fit, by the gate status that refused it
+_SPURIOUS = {
+    STATUS_SEPARATED: ("separated data", "no finite maximizer exists here"),
+    STATUS_RANK_DEFICIENT: ("rank condition failed",
+                            "the estimate is not identified here"),
+}
+
 
 class _Float17Encoder(json.JSONEncoder):
     """json.JSONEncoder that prints floats with 17 significant digits."""
@@ -193,7 +200,7 @@ def _existence_text(report: ExistenceReport, heading: str) -> str:
     if report.qp_min is not None:
         lines.append(f"  qp minimum (normalized vectors): {report.qp_min:.6g}")
     lines.append(f"  constraint vectors: {report.n_constraints}")
-    lines.append(f"  qp iterations: {report.iterations}")
+    lines.append(f"  qp active-set steps: {report.iterations}")
     if report.direction is not None:
         lines.append(f"  separating direction: {_vec(report.direction)}")
         lines.append(f"  kkt margin (min w'u): {report.kkt_margin:.6g}")
@@ -238,9 +245,10 @@ def cmd_pooled_check(args) -> int:
 def _fit_text(result: CmleFit) -> str:
     lines = []
     if result.gate.status != STATUS_EXISTS:
-        lines.append("SPURIOUS: separated data")
+        banner, reason = _SPURIOUS[result.gate.status]
+        lines.append(f"SPURIOUS: {banner}")
         lines.append(
-            "  no finite maximizer exists here; the numbers below are artifacts"
+            f"  {reason}; the numbers below are artifacts"
             " of the stopping rule, not estimates"
         )
     else:
@@ -355,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("csv")
     _add_common(check)
     check.add_argument("--max-iter", type=int, default=DEFAULT_QP_MAX_ITER,
-                       help="QP iteration cap")
+                       help="cap on QP active-set steps")
     check.set_defaults(handler=lambda a: cmd_check(a))
 
     fit_p = commands.add_parser("fit", help="gated conditional ML fit")
@@ -372,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     pooled.add_argument("csv")
     _add_common(pooled)
     pooled.add_argument("--max-iter", type=int, default=DEFAULT_QP_MAX_ITER,
-                        help="QP iteration cap")
+                        help="cap on QP active-set steps")
     pooled.set_defaults(handler=lambda a: cmd_pooled_check(a))
 
     sim = commands.add_parser("simulate", help="existence-failure frequency experiment")

@@ -11,7 +11,8 @@ direction weakly dominates every attribute difference sum_t (d_t - y_t) x_t.
 Each difference is a sum of single swaps x_s - x_t (y_s = 0, y_t = 1), and
 each swap is itself a difference, so the k(T - k) swaps per individual
 generate the same cone as the C(T, k) - 1 differences. The test reduces to a
-box-constrained quadratic program over the swaps reaching a zero minimum.
+box-constrained quadratic program over the swaps reaching a zero minimum,
+which the Lawson-Hanson nonnegative least-squares method solves exactly.
 Each constraint vector is unit-normalized so the decision threshold is
 scale-free.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import QP_MAXITER, QP_STATIONARY, QP_ZERO, qp_minimize
+from ._kernels import QP_MAXITER, QP_ZERO, qp_minimize
 from .errors import QpConvergenceError
 from .panel import PanelDataset, informative_subset
 
@@ -207,21 +208,35 @@ def rank_check(data: PanelDataset) -> RankCheckResult:
     return RankCheckResult(p=p, probes=(probe,))
 
 
-def _solve_qp(problem: QpProblem, tol: float, kkt_tol: float, max_iter: int):
-    lam, q, u, iters, flag, viol = qp_minimize(
-        problem.normalized, tol, kkt_tol, max_iter
-    )
-    if flag not in (QP_ZERO, QP_STATIONARY):
-        if flag == QP_MAXITER:
-            reason = "QP did not converge; raise iteration cap"
-        else:
-            reason = ("QP stalled (line search made no progress);"
-                      " a higher iteration cap will not help")
+def _qp_report(problem: QpProblem, tol: float, kkt_tol: float, max_iter: int,
+               **fields) -> ExistenceReport:
+    """Solve the QP over ``problem`` and assemble the report of its verdict.
+
+    A separated report carries the unit direction u*/|u*| and its KKT margin
+    min_k w_k'u*/|u*|. Raises :class:`QpConvergenceError` when the solver
+    hits its cap on active-set steps.
+    """
+    _lam, q, u, iters, flag, viol = qp_minimize(problem.normalized, tol, kkt_tol, max_iter)
+    if flag == QP_MAXITER:
         raise QpConvergenceError(
-            f"{reason}: q={q:.6g}, KKT violation {viol:.3g} after {iters} iterations",
+            f"QP did not converge; raise iteration cap: q={q:.6g}, KKT violation"
+            f" {viol:.3g} after {iters} active-set steps",
             flag=flag, q=q, kkt_violation=viol, iterations=iters,
         )
-    return q, u, iters, flag
+    report = ExistenceReport(
+        status=STATUS_EXISTS if flag == QP_ZERO else STATUS_SEPARATED,
+        qp_min=q,
+        direction=None,
+        iterations=iters,
+        n_constraints=problem.size,
+        tolerance=tol,
+        kkt_tolerance=kkt_tol,
+        **fields,
+    )
+    if report.status == STATUS_SEPARATED:
+        report.direction = u / np.linalg.norm(u)
+        report.kkt_margin = float((problem.normalized @ report.direction).min())
+    return report
 
 
 def detect_panel_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
@@ -230,12 +245,13 @@ def detect_panel_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
     """Decide whether the conditional ML estimate exists and is unique.
 
     Builds the single-swap QP over all informative individuals and
-    minimizes |sum_k lam_k w_k|^2 over lam_k >= 1 by projected gradient
-    descent from lam = 1. A minimum at most ``tol`` means a finite unique
+    minimizes |sum_k lam_k w_k|^2 over lam_k >= 1 exactly, by nonnegative
+    least squares in lam - 1. A minimum at most ``tol`` means a finite unique
     estimate exists; otherwise the data are separated and the optimal
     combination (unit-normalized) is reported as the separating direction.
-    The rank condition is decided as well and, when it fails, overrides the
-    QP verdict with ``rank_deficient``. Deterministic given inputs.
+    ``max_iter`` caps the solver's active-set steps. The rank condition is
+    decided as well and, when it fails, overrides the QP verdict with
+    ``rank_deficient``. Deterministic given inputs.
     """
     sub, dropped = informative_subset(data)
     rank = rank_check(sub)
@@ -253,22 +269,8 @@ def detect_panel_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
             rank=rank,
             message="no within-individual covariate variation; every swap vector is zero",
         )
-    q, u, iters, flag = _solve_qp(problem, tol, kkt_tol, max_iter)
-    report = ExistenceReport(
-        status=STATUS_EXISTS if flag == QP_ZERO else STATUS_SEPARATED,
-        qp_min=q,
-        direction=None,
-        iterations=iters,
-        n_constraints=problem.size,
-        tolerance=tol,
-        kkt_tolerance=kkt_tol,
-        dropped_noninformative=dropped,
-        rank=rank,
-    )
-    if report.status == STATUS_SEPARATED:
-        direction = u / np.linalg.norm(u)
-        report.direction = direction
-        report.kkt_margin = float((problem.normalized @ direction).min())
+    report = _qp_report(problem, tol, kkt_tol, max_iter,
+                        dropped_noninformative=dropped, rank=rank)
     if not rank.rank_ok:
         report.status = STATUS_RANK_DEFICIENT
         report.message = (f"covariates vary within individuals in only"
@@ -290,19 +292,4 @@ def detect_pooled_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
     problem = qp_problem_from_pooled(data)
     classes = np.unique(data.outcomes)
     message = "degenerate: one outcome class" if classes.size < 2 else None
-    q, u, iters, flag = _solve_qp(problem, tol, kkt_tol, max_iter)
-    report = ExistenceReport(
-        status=STATUS_EXISTS if flag == QP_ZERO else STATUS_SEPARATED,
-        qp_min=q,
-        direction=None,
-        iterations=iters,
-        n_constraints=problem.size,
-        tolerance=tol,
-        kkt_tolerance=kkt_tol,
-        message=message,
-    )
-    if report.status == STATUS_SEPARATED:
-        direction = u / np.linalg.norm(u)
-        report.direction = direction
-        report.kkt_margin = float((problem.normalized @ direction).min())
-    return report
+    return _qp_report(problem, tol, kkt_tol, max_iter, message=message)

@@ -20,12 +20,11 @@ class AlternativeSetTooLargeError(FelogitError, RuntimeError):
 
 
 class QpConvergenceError(FelogitError, RuntimeError):
-    """The projected-gradient QP solver stopped without a decision.
+    """The separation QP solver hit its cap on active-set steps undecided.
 
-    Carries the solver state at the stop: its exit ``flag`` (the iteration
-    cap, ``QP_MAXITER``, or a stalled line search, ``QP_STALL``), the last
-    objective value ``q``, the KKT violation ``kkt_violation`` and the
-    iteration count ``iterations``.
+    Carries the solver state at the stop: its exit ``flag`` (always
+    ``QP_MAXITER``), the last objective value ``q``, the KKT violation
+    ``kkt_violation`` and the number of active-set steps ``iterations``.
     """
 
     def __init__(self, message: str, *, flag: int, q: float, kkt_violation: float,

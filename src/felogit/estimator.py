@@ -200,16 +200,8 @@ def fit(data: PanelDataset, force: bool = False, *,
     if score_sup <= grad_tol:
         converged = True
 
-    neg_h = -hessian
-    try:
-        np.linalg.cholesky(neg_h)
-        cov = np.linalg.inv(neg_h)
-        ses_flagged = False
-    except np.linalg.LinAlgError:
-        scale = float(np.trace(neg_h)) / p
-        ridge = 1e-8 * scale if scale > 0 else 1e-8
-        cov = np.linalg.inv(neg_h + ridge * np.eye(p))
-        ses_flagged = True
+    cov, ridge = _solve_spd(-hessian, np.eye(p))
+    ses_flagged = ridge > 0.0
     std_errors = np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
     diagnostic = None

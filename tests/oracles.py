@@ -3,8 +3,8 @@
 Everything here deliberately avoids the production code paths it is used to
 check: denominators come from explicit subset enumeration, derivatives from
 central finite differences, separation verdicts from sign inspection or a
-direction grid, constraint sets and the rank at beta = 0 from enumerating
-every alternative.
+direction grid or an exact LP feasibility problem, constraint sets and the
+rank at beta = 0 from enumerating every alternative.
 """
 
 from __future__ import annotations
@@ -14,7 +14,14 @@ import math
 
 import numpy as np
 
-from felogit import PanelDataset, difference_vectors, informative_subset
+from felogit import (
+    STATUS_EXISTS,
+    STATUS_RANK_DEFICIENT,
+    STATUS_SEPARATED,
+    PanelDataset,
+    difference_vectors,
+    informative_subset,
+)
 
 
 def enum_denominator(covariates, outcomes, beta):
@@ -112,6 +119,30 @@ def enum_centered_attributes(data: PanelDataset) -> np.ndarray:
                           for ones in itertools.combinations(range(data.T), k)])
         blocks.append(attrs - attrs.mean(axis=0))
     return np.vstack(blocks)
+
+
+def lp_verdict(data: PanelDataset) -> str:
+    """Verdict from the enumerated differences and a linear program.
+
+    Rank-deficient when the nonzero differences span fewer than p
+    dimensions. Otherwise the estimate exists iff some lam >= 1 gives
+    W' lam = 0 over the unit-normalized differences W, i.e. their cone is a
+    linear subspace (Konis 2007); scipy's HiGHS solver decides feasibility.
+    Raises ImportError without scipy.
+    """
+    from scipy.optimize import linprog
+
+    rows = enum_differences(data)
+    norms = np.linalg.norm(rows, axis=1)
+    rows = rows[norms > 0]
+    if rows.shape[0] == 0 or np.linalg.matrix_rank(rows) < data.p:
+        return STATUS_RANK_DEFICIENT
+    unit = rows / norms[norms > 0][:, None]
+    res = linprog(np.zeros(unit.shape[0]), A_eq=unit.T, b_eq=np.zeros(data.p),
+                  bounds=(1, None), method="highs")
+    if res.status not in (0, 2):  # 0 feasible, 2 infeasible
+        raise RuntimeError(f"LP oracle undecided: {res.message}")
+    return STATUS_EXISTS if res.status == 0 else STATUS_SEPARATED
 
 
 def integer_panel(rng) -> PanelDataset:

@@ -13,6 +13,7 @@ from felogit import (
     informative_subset,
     log_denominator_dp,
 )
+from felogit import _kernels
 
 from oracles import central_diff_gradient, enum_denominator, enum_log_denominator, random_panel
 
@@ -133,6 +134,19 @@ def test_log_denominator_stable_for_large_scores():
     expected = enum_log_denominator(slc.covariates, slc.outcomes, np.array([1.0]))
     assert logval == pytest.approx(expected, rel=1e-12)
     assert np.isfinite(grad).all()
+
+    # one batch mixing that row with each closed-form branch of the kernel
+    # (k = 0, k = T, equal scores) and a generic recursion row
+    x = np.array([[650.0, 700.0, -650.0], [0.1, -0.4, 2.0], [0.1, -0.4, 2.0],
+                  [0.3, 0.3, 0.3], [0.1, -0.4, 2.0]])[:, :, None]
+    y = np.array([[1, 1, 0], [0, 0, 0], [1, 1, 1], [0, 1, 0], [1, 0, 0]])
+    beta = np.array([1.0])
+    logden, mean = _kernels.logdenom_numpy(x @ beta, x, y.sum(axis=1))
+    for i in range(len(y)):
+        expected = enum_log_denominator(x[i], y[i], beta)
+        assert logden[i] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        slope = central_diff_gradient(lambda b: enum_log_denominator(x[i], y[i], b), beta)
+        assert mean[i] == pytest.approx(slope, rel=1e-6, abs=1e-8)
 
 
 def test_softmax_weights_normalize():

@@ -138,6 +138,25 @@ def test_fit_fixture_forced_is_spurious(capsys, fixture_path):
     assert "converged: False" in out
 
 
+@pytest.mark.parametrize("status,banner", [
+    ("separated", "SPURIOUS: separated data"),
+    ("rank_deficient", "SPURIOUS: rank condition failed"),
+])
+def test_forced_fit_banner_names_the_gate_status(capsys, tmp_path, fixture_path, status, banner):
+    # the separated fixture, or x1 fixed at 0.7 and 2.7 within two individuals
+    path = str(fixture_path) if status == "separated" else _write(
+        tmp_path, _time_constant_csv((0.7, 2.7)))
+    code, out, _ = run_cli(capsys, "fit", path, "--force")
+    assert code == 4
+    first = out.splitlines()[0]
+    assert first == banner
+    assert f"existence gate reported {status}" in out
+    # x1 never changes within an individual, so the information is zero
+    assert ("standard errors are ridged" in out) == (status == "rank_deficient")
+    code, out, _ = run_cli(capsys, "fit", path, "--force", "--output", "json")
+    assert json.loads(out)["fit"]["gate"]["status"] == status
+
+
 def test_fit_triple_closed_form(capsys, tmp_path):
     path = _write(tmp_path, TRIPLE_CSV)
     code, out, _ = run_cli(capsys, "fit", path)

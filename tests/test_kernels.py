@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -15,30 +11,6 @@ def _random_batch(rng, n=40, T=8, p=3):
     return scores, covariates, totals.astype(np.int64)
 
 
-@pytest.mark.skipif(_kernels.logdenom_numba is None, reason="numba unavailable")
-def test_logdenom_backends_agree():
-    rng = np.random.default_rng(101)
-    for _ in range(5):
-        scores, covariates, totals = _random_batch(rng)
-        ld_nb, mean_nb = _kernels.logdenom_numba(scores, covariates, totals)
-        ld_np, mean_np = _kernels.logdenom_numpy(scores, covariates, totals)
-        np.testing.assert_allclose(ld_nb, ld_np, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(mean_nb, mean_np, rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.skipif(_kernels.qp_numba is None, reason="numba unavailable")
-def test_qp_backends_agree():
-    rng = np.random.default_rng(103)
-    for _ in range(10):
-        m, p = int(rng.integers(2, 40)), int(rng.integers(1, 4))
-        w = rng.standard_normal((m, p))
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-        out_nb = _kernels.qp_numba(w, 1e-8, 1e-6, 100_000)
-        out_np = _kernels.qp_numpy(w, 1e-8, 1e-6, 100_000)
-        assert out_nb[4] == out_np[4]  # same exit flag
-        assert out_nb[1] == pytest.approx(out_np[1], rel=1e-8, abs=1e-10)
-
-
 def test_logdenom_deterministic():
     rng = np.random.default_rng(107)
     scores, covariates, totals = _random_batch(rng)
@@ -48,12 +20,13 @@ def test_logdenom_deterministic():
 
 
 def test_qp_flags():
-    # opposite unit vectors cancel at lam = 1: zero minimum immediately
+    # opposite unit vectors cancel at lam = 1: zero minimum before any step
     w = np.array([[1.0], [-1.0]])
     lam, q, _u, iters, flag, _ = _kernels.qp_minimize(w, 1e-8, 1e-6, 100)
     assert flag == _kernels.QP_ZERO
     assert q <= 1e-8
-    assert iters == 1
+    assert iters == 0
+    assert lam.tolist() == [1.0, 1.0]
     # a single vector is stationary at lam = 1 with q = 1
     w = np.array([[-1.0]])
     lam, q, u, iters, flag, _ = _kernels.qp_minimize(w, 1e-8, 1e-6, 100)
@@ -62,37 +35,47 @@ def test_qp_flags():
     assert u[0] == pytest.approx(-1.0)
 
 
+# unit rows (1, 0), (0, 1), (-0.6, -0.8): lam = (1, 4/3, 5/3) cancels them,
+# and the active-set method frees the third column, then the second
+THREE_FOUR_FIVE = np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]])
+
+
 def test_qp_iteration_cap():
-    # needs several projected-gradient steps; a cap of 2 cannot finish
-    w = np.array([[1.0, 0.0], [-0.6, 0.8], [-0.6, -0.8]])
-    *_rest, flag, _ = _kernels.qp_minimize(w, 1e-8, 1e-6, 2)
+    lam, q, _u, iters, flag, viol = _kernels.qp_minimize(THREE_FOUR_FIVE, 1e-8, 1e-6, 1)
     assert flag == _kernels.QP_MAXITER
-    *_rest, flag, _ = _kernels.qp_minimize(w, 1e-8, 1e-6, 100_000)
+    assert iters == 1
+    assert q > 1e-8 and viol > 0.5e-6
+    lam, q, _u, iters, flag, _ = _kernels.qp_minimize(THREE_FOUR_FIVE, 1e-8, 1e-6, 100_000)
     assert flag == _kernels.QP_ZERO
+    assert iters == 2
+    assert q <= 1e-8
+    np.testing.assert_allclose(lam, [1.0, 4.0 / 3.0, 5.0 / 3.0], rtol=1e-14)
 
 
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ)
-    env["FELOGIT_NUMBA"] = "0"
-    src = "import felogit; print(felogit.active_backend())"
-    out = subprocess.run(
-        [sys.executable, "-c", src], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "numpy"
+def test_qp_separated_minimum_is_exact():
+    # at lam = 1, u = (-0.4, 1.4) and only the first row has w'u < 0; raising
+    # lam_1 to 1.4 cancels the first coordinate, leaving u* = (0, 1.4) with
+    # w'u* >= 0 for every row, so the minimum is q = 1.96
+    w = np.array([[1.0, 0.0], [-0.8, 0.6], [-0.6, 0.8]])
+    lam, q, u, iters, flag, _ = _kernels.qp_minimize(w, 1e-8, 1e-6, 100)
+    assert flag == _kernels.QP_STATIONARY
+    assert iters == 1
+    assert q == pytest.approx(1.96, rel=1e-14)
+    np.testing.assert_allclose(u, [0.0, 1.4], atol=1e-15)
+    assert (w @ u >= -1e-15).all()
+    np.testing.assert_allclose(lam, [1.4, 1.0, 1.0], rtol=1e-14)
 
-
-def test_env_flag_backend_matches_default_decisions(fixture_path):
-    env = dict(os.environ)
-    env["FELOGIT_NUMBA"] = "0"
-    src = (
-        "import felogit, sys\n"
-        "r = felogit.detect_panel_separation(felogit.load_csv(sys.argv[1]))\n"
-        "print(r.status, repr(r.qp_min))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", src, str(fixture_path)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    status, qp_min = out.stdout.split()
-    assert status == "separated"
-    assert float(qp_min) == pytest.approx(196.0)
+    # five integer rows in R^3 whose solve frees a column that a later
+    # least-squares solve pushes below its bound, so the inner loop must step
+    # back and return it; the KKT conditions of the convex QP certify the
+    # result: lam >= 1, w'u >= 0, and w'u = 0 wherever lam > 1
+    w = np.array([[-2, -2, 1], [3, 2, 0], [-2, -3, 3], [-3, 2, -1], [-2, 2, -3]], dtype=float)
+    w /= np.linalg.norm(w, axis=1)[:, None]
+    lam, q, u, _iters, flag, _ = _kernels.qp_minimize(w, 1e-8, 1e-6, 100)
+    assert flag == _kernels.QP_STATIONARY
+    assert q == pytest.approx(0.8746114037593902, rel=1e-12)
+    np.testing.assert_allclose(u, lam @ w, atol=1e-14)
+    wu = w @ u
+    assert (lam >= 1.0).all()
+    assert (wu >= -1e-12).all()
+    assert np.abs((lam - 1.0) * wu).max() <= 1e-12
