@@ -225,20 +225,14 @@ def _status_heading(status: str, panel: bool) -> str:
 
 
 def cmd_check(args) -> int:
+    """``check`` (the panel detector) and ``pooled-check`` (the pooled one)."""
     data = load_csv(args.csv)
-    report = detect_panel_separation(data, tol=args.tol, max_iter=args.max_iter)
+    panel = args.command == "check"
+    detect = detect_panel_separation if panel else detect_pooled_separation
+    report = detect(data, tol=args.tol, max_iter=args.max_iter)
     options = {"tol": args.tol, "max_iter": args.max_iter}
-    payload = _wrap("check", args.csv, options, existence=_existence_payload(report))
-    _emit(args, payload, _existence_text(report, _status_heading(report.status, True)))
-    return _STATUS_EXIT[report.status]
-
-
-def cmd_pooled_check(args) -> int:
-    data = load_csv(args.csv)
-    report = detect_pooled_separation(data, tol=args.tol, max_iter=args.max_iter)
-    options = {"tol": args.tol, "max_iter": args.max_iter}
-    payload = _wrap("pooled-check", args.csv, options, existence=_existence_payload(report))
-    _emit(args, payload, _existence_text(report, _status_heading(report.status, False)))
+    payload = _wrap(args.command, args.csv, options, existence=_existence_payload(report))
+    _emit(args, payload, _existence_text(report, _status_heading(report.status, panel)))
     return _STATUS_EXIT[report.status]
 
 
@@ -354,17 +348,21 @@ def _add_common(sub):
     sub.add_argument("--output", choices=("text", "json"), default="text")
 
 
+def _add_check(commands, name: str, help_text: str) -> None:
+    sub = commands.add_parser(name, help=help_text)
+    sub.add_argument("csv")
+    _add_common(sub)
+    sub.add_argument("--max-iter", type=int, default=DEFAULT_QP_MAX_ITER,
+                     help="cap on QP active-set steps")
+    sub.set_defaults(handler=cmd_check)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="felogit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"felogit {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    check = commands.add_parser("check", help="existence check for the conditional estimate")
-    check.add_argument("csv")
-    _add_common(check)
-    check.add_argument("--max-iter", type=int, default=DEFAULT_QP_MAX_ITER,
-                       help="cap on QP active-set steps")
-    check.set_defaults(handler=lambda a: cmd_check(a))
+    _add_check(commands, "check", "existence check for the conditional estimate")
 
     fit_p = commands.add_parser("fit", help="gated conditional ML fit")
     fit_p.add_argument("csv")
@@ -373,15 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(fit_p)
     fit_p.add_argument("--max-iter", type=int, default=DEFAULT_NEWTON_MAX_ITER,
                        help="Newton iteration cap")
-    fit_p.set_defaults(handler=lambda a: cmd_fit(a))
+    fit_p.set_defaults(handler=cmd_fit)
 
-    pooled = commands.add_parser("pooled-check",
-                                 help="cross-sectional separation check on stacked rows")
-    pooled.add_argument("csv")
-    _add_common(pooled)
-    pooled.add_argument("--max-iter", type=int, default=DEFAULT_QP_MAX_ITER,
-                        help="cap on QP active-set steps")
-    pooled.set_defaults(handler=lambda a: cmd_pooled_check(a))
+    _add_check(commands, "pooled-check", "cross-sectional separation check on stacked rows")
 
     sim = commands.add_parser("simulate", help="existence-failure frequency experiment")
     sim.add_argument("--n", type=int, required=True)

@@ -23,7 +23,7 @@ from .detector import (
     detect_panel_separation,
 )
 from .errors import NonexistenceError
-from .panel import PanelDataset, informative_subset
+from .panel import PanelDataset
 
 DEFAULT_GRAD_TOL = 1e-8
 DEFAULT_NEWTON_MAX_ITER = 100
@@ -156,10 +156,9 @@ def fit(data: PanelDataset, force: bool = False, *,
             raise NonexistenceError("estimate does not exist (separated)", report=gate)
         raise NonexistenceError("rank condition failed", report=gate)
 
-    sub, _ = informative_subset(data)
-    p = sub.p
+    p = data.p
     beta = np.zeros(p)
-    ll = conditional_loglik(sub, beta)
+    ll = conditional_loglik(data, beta)
     trace: list[NewtonStep] = []
     converged = False
     score_sup = np.inf
@@ -167,7 +166,7 @@ def fit(data: PanelDataset, force: bool = False, *,
 
     for it in range(1, max_iter + 1):
         iterations = it
-        score, hessian = conditional_score_and_hessian(sub, beta, guard)
+        score, hessian = conditional_score_and_hessian(data, beta, guard)
         score_sup = float(np.abs(score).max())
         if score_sup <= grad_tol:
             trace.append(NewtonStep(it, ll, score_sup, 0.0, float(np.linalg.norm(beta))))
@@ -182,7 +181,7 @@ def fit(data: PanelDataset, force: bool = False, *,
         alpha = 1.0
         while True:
             cand = beta + alpha * delta
-            ll_c = conditional_loglik(sub, cand)
+            ll_c = conditional_loglik(data, cand)
             if flat or ll_c >= ll + _ARMIJO * alpha * slope:
                 break
             alpha *= _SHRINK
@@ -195,7 +194,7 @@ def fit(data: PanelDataset, force: bool = False, *,
         ll = ll_c
         trace.append(NewtonStep(it, ll, score_sup, alpha, float(np.linalg.norm(beta))))
 
-    score, hessian = conditional_score_and_hessian(sub, beta, guard)
+    score, hessian = conditional_score_and_hessian(data, beta, guard)
     score_sup = float(np.abs(score).max())
     if score_sup <= grad_tol:
         converged = True

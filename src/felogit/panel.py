@@ -9,6 +9,7 @@ treat them as shared read-only data.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,7 +97,7 @@ class PanelDataset:
             raise PanelDataError("inconsistent array shapes for a panel")
         if len(np.unique(ids)) != n:
             raise PanelDataError("individual identifiers must be unique")
-        if T > 1 and not (np.diff(per, axis=1) > 0).all():
+        if not (per[:, 1:] > per[:, :-1]).all():
             raise PanelDataError(
                 "period labels must be distinct and ascending within each individual"
             )
@@ -176,8 +177,8 @@ def load_csv(path) -> PanelDataset:
                 f"{path}: malformed header {header!r}; expected id,t,y,x1,...,xp"
             )
 
-        groups: dict[int, list[tuple[int, int, np.ndarray]]] = {}
-        seen: set[tuple[int, int]] = set()
+        outcomes: dict[tuple[int, int], float] = {}  # y by (id, t), in file order
+        xs: list[float] = []
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -193,46 +194,45 @@ def load_csv(path) -> PanelDataset:
                 raise PanelDataError(
                     f"{path}: invalid outcome at row {lineno}: y must be 0 or 1, got {row[2]!r}"
                 )
-            x = np.empty(p)
-            for j in range(p):
-                x[j] = _parse_float(row[3 + j], path, lineno, f"x{j + 1}")
-            if (ident, t) in seen:
+            for cell, col in zip(row[3:], header[3:]):
+                xs.append(_parse_float(cell, path, lineno, col))
+            if (ident, t) in outcomes:
                 raise PanelDataError(
                     f"{path}: unbalanced or duplicated panel: duplicate (id,t)=({ident},{t}) at row {lineno}"
                 )
-            seen.add((ident, t))
-            groups.setdefault(ident, []).append((t, int(yval), x))
+            outcomes[ident, t] = yval
 
-    if not groups:
+    if not outcomes:
         raise PanelDataError(f"{path}: no data rows")
-    sizes = {len(rows) for rows in groups.values()}
+    keys = np.array(list(outcomes), dtype=np.int64)
+    unique_ids, counts = np.unique(keys[:, 0], return_counts=True)
+    sizes = np.unique(counts)
     if len(sizes) != 1:
         raise PanelDataError(
-            f"{path}: unbalanced or duplicated panel: individuals have differing row counts {sorted(sizes)}"
+            f"{path}: unbalanced or duplicated panel: individuals have differing row counts {sizes.tolist()}"
         )
-    T = sizes.pop()
-
-    ids = np.array(sorted(groups), dtype=np.int64)
-    n = len(ids)
-    periods = np.empty((n, T), dtype=np.int64)
-    cov = np.empty((n, T, p))
-    y = np.empty((n, T), dtype=np.int8)
-    for i, ident in enumerate(ids):
-        rows = sorted(groups[ident], key=lambda r: r[0])
-        for t_idx, (t, yv, x) in enumerate(rows):
-            periods[i, t_idx] = t
-            y[i, t_idx] = yv
-            cov[i, t_idx] = x
-    return PanelDataset(ids=ids, periods=periods, covariates=cov, outcomes=y)
+    shape = (len(unique_ids), int(sizes[0]))
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    return PanelDataset(
+        ids=unique_ids,
+        periods=keys[order, 1].reshape(shape),
+        covariates=np.array(xs).reshape(-1, p)[order].reshape(*shape, p),
+        outcomes=np.array(list(outcomes.values()), dtype=np.int8)[order].reshape(shape),
+    )
 
 
 def _parse_int(cell: str, path, lineno: int, col: str) -> int:
     try:
-        return int(cell.strip())
+        val = int(cell.strip())
     except ValueError:
         raise PanelDataError(
             f"{path}: parse error at row {lineno}, column {col!r}: not an integer: {cell!r}"
         ) from None
+    if not -2**63 <= val < 2**63:
+        raise PanelDataError(
+            f"{path}: parse error at row {lineno}, column {col!r}: integer out of range: {cell!r}"
+        )
+    return val
 
 
 def _parse_float(cell: str, path, lineno: int, col: str) -> float:
@@ -242,7 +242,7 @@ def _parse_float(cell: str, path, lineno: int, col: str) -> float:
         raise PanelDataError(
             f"{path}: parse error at row {lineno}, column {col!r}: not a number: {cell!r}"
         ) from None
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise PanelDataError(
             f"{path}: parse error at row {lineno}, column {col!r}: value is not finite"
         )

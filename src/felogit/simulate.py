@@ -113,36 +113,13 @@ def existence_rate(config: SimConfig, *, tol: float = DEFAULT_QP_TOL) -> Frequen
     frequencies are reported side by side without asserting any ordering
     between them.
     """
-    panel_exists: list[bool] = []
-    panel_status: list[str] = []
-    panel_qp: list[float | None] = []
-    pooled_exists: list[bool] = []
-    pooled_status: list[str] = []
-    pooled_qp: list[float | None] = []
+    panel, pooled = [], []
     for rep in range(config.replications):
-        panel = generate_panel(config, rep)
-        try:
-            rp = detect_panel_separation(panel, tol=tol)
-            panel_exists.append(rp.status == STATUS_EXISTS)
-            panel_status.append(rp.status)
-            panel_qp.append(rp.qp_min)
-        except NoInformativeIndividualsError:
-            panel_exists.append(False)
-            panel_status.append(STATUS_NO_INFORMATIVE)
-            panel_qp.append(None)
-        except QpConvergenceError:
-            panel_exists.append(False)
-            panel_status.append(STATUS_UNDECIDED)
-            panel_qp.append(None)
-        try:
-            rq = detect_pooled_separation(panel, tol=tol)
-            pooled_exists.append(rq.status == STATUS_EXISTS)
-            pooled_status.append(rq.status)
-            pooled_qp.append(rq.qp_min)
-        except QpConvergenceError:
-            pooled_exists.append(False)
-            pooled_status.append(STATUS_UNDECIDED)
-            pooled_qp.append(None)
+        data = generate_panel(config, rep)
+        panel.append(_verdict(detect_panel_separation, data, tol))
+        pooled.append(_verdict(detect_pooled_separation, data, tol))
+    panel_exists, panel_status, panel_qp = (list(c) for c in zip(*panel))
+    pooled_exists, pooled_status, pooled_qp = (list(c) for c in zip(*pooled))
     return FrequencyReport(
         config=config,
         panel_exists=panel_exists,
@@ -152,3 +129,14 @@ def existence_rate(config: SimConfig, *, tol: float = DEFAULT_QP_TOL) -> Frequen
         pooled_status=pooled_status,
         pooled_qp_min=pooled_qp,
     )
+
+
+def _verdict(detect, data: PanelDataset, tol: float) -> tuple[bool, str, float | None]:
+    """``(exists, status, qp_min)`` of one detector on one replication."""
+    try:
+        report = detect(data, tol=tol)
+    except NoInformativeIndividualsError:
+        return False, STATUS_NO_INFORMATIVE, None
+    except QpConvergenceError:
+        return False, STATUS_UNDECIDED, None
+    return report.status == STATUS_EXISTS, report.status, report.qp_min

@@ -117,6 +117,19 @@ def test_check_malformed_csv_exits_1(capsys, tmp_path):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("rows, column", [
+    ("99999999999999999999,1,0,0.1\n99999999999999999999,2,1,0.2\n", "id"),
+    ("-9223372036854775809,1,0,0.1\n-9223372036854775809,2,1,0.2\n", "id"),
+    ("1,9223372036854775808,0,0.1\n1,2,1,0.2\n", "t"),
+])
+def test_check_integer_outside_int64_exits_1(capsys, tmp_path, rows, column):
+    path = _write(tmp_path, "id,t,y,x1\n" + rows)
+    code, _, err = run_cli(capsys, "check", path)
+    assert code == 1
+    assert f"row 2, column '{column}': integer out of range" in err
+    assert "Traceback" not in err
+
+
 def test_check_missing_file_exits_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", str(tmp_path / "absent.csv"))
     assert code == 1

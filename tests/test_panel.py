@@ -149,3 +149,85 @@ def test_nonfinite_covariates_rejected():
     x[0, 0, 0] = np.nan
     with pytest.raises(PanelDataError, match="finite"):
         PanelDataset.from_arrays(x, np.array([[0, 1]]))
+
+
+@pytest.mark.parametrize("text, message", [
+    # a duplicate before a bad cell, and a bad cell before a duplicate: the
+    # first fault in file order is the one reported
+    ("id,t,y,x1\n1,1,0,0.1\n1,1,1,0.2\n1,2,0,oops\n",
+     "unbalanced or duplicated panel: duplicate (id,t)=(1,1) at row 3"),
+    ("id,t,y,x1\n1,1,0,0.1\n1,2,0,oops\n1,1,1,0.2\n",
+     "parse error at row 3, column 'x1': not a number: 'oops'"),
+    ("id,t,y,x1\n3,1,0,0.1\n2,1,0,0.2\n3,2,1,0.3\n1,1,1,0.4\n3,3,0,0.5\n2,2,1,0.6\n",
+     "unbalanced or duplicated panel: individuals have differing row counts [1, 2, 3]"),
+    ("id,t,y,x1\n1,1,0,0.1\n1,2,nan,0.2\n", "parse error at row 3, column 'y': value is not finite"),
+    ("id,t,y,x1\n1,1,0,inf\n", "parse error at row 2, column 'x1': value is not finite"),
+    ("id,t,y,x1\n1,1,0.5,0.1\n", "invalid outcome at row 2: y must be 0 or 1, got '0.5'"),
+    ("id,t,y,x1\n1,x,0,0.1\n", "parse error at row 2, column 't': not an integer: 'x'"),
+    ("id,t,y,x1\n1,1,0\n", "parse error at row 2: expected 4 fields, found 3"),
+    ("id,t,y,x1\n", "no data rows"),
+    ("id,t,y,x1\n\n  \n", "no data rows"),
+])
+def test_malformed_csv_messages_are_exact(tmp_path, text, message):
+    path = _write(tmp_path, text)
+    with pytest.raises(PanelDataError) as err:
+        load_csv(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("text, ids, periods, covariates, outcomes", [
+    # whitespace around header names and cells
+    ("id , t , y , x1\n 2 , 1 , 0 , 0.5 \n2,2, 1 ,-1.25\n",
+     [2], [[1, 2]], [[[0.5], [-1.25]]], [[0, 1]]),
+    # outcomes written as floats
+    ("id,t,y,x1\n1,1,1.0,0.1\n1,2,0.0,0.2\n",
+     [1], [[1, 2]], [[[0.1], [0.2]]], [[1, 0]]),
+    # negative and unsorted ids, periods out of order
+    ("id,t,y,x1\n3,2,1,0.6\n-7,1,0,0.1\n3,1,0,0.5\n-7,2,1,0.2\n0,2,0,0.4\n0,1,1,0.3\n",
+     [-7, 0, 3], [[1, 2]] * 3, [[[0.1], [0.2]], [[0.3], [0.4]], [[0.5], [0.6]]],
+     [[0, 1], [1, 0], [0, 1]]),
+    # the ends of the int64 range
+    ("id,t,y,x1\n9223372036854775807,-9223372036854775808,0,0.5\n"
+     "9223372036854775807,9223372036854775807,1,0.25\n",
+     [2**63 - 1], [[-2**63, 2**63 - 1]], [[[0.5], [0.25]]], [[0, 1]]),
+    # one period per individual
+    ("id,t,y,x1,x2\n2,5,1,1.5,2.5\n1,9,0,-0.5,0.25\n",
+     [1, 2], [[9], [5]], [[[-0.5, 0.25]], [[1.5, 2.5]]], [[0], [1]]),
+])
+def test_load_csv_exact_arrays(tmp_path, text, ids, periods, covariates, outcomes):
+    data = load_csv(_write(tmp_path, text))
+    expected = {
+        "ids": np.array(ids, dtype=np.int64),
+        "periods": np.array(periods, dtype=np.int64),
+        "covariates": np.array(covariates, dtype=np.float64),
+        "outcomes": np.array(outcomes, dtype=np.int8),
+    }
+    for name, want in expected.items():
+        got = getattr(data, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_shuffled_random_panel_loads_to_its_arrays(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n, T, p = (int(v) for v in rng.integers(1, [7, 6, 4]))
+    ids = rng.choice(np.arange(-50, 50), size=n, replace=False)
+    periods = np.sort(
+        np.stack([rng.choice(np.arange(-10, 30), size=T, replace=False) for _ in range(n)]),
+        axis=1,
+    )
+    x = rng.standard_normal((n, T, p)) * 10.0 ** rng.integers(-6, 7, size=(n, T, p))
+    y = rng.integers(0, 2, size=(n, T))
+    rows = [
+        ",".join([str(ids[i]), str(periods[i, t]), str(y[i, t])] + [repr(float(v)) for v in x[i, t]])
+        for i in range(n) for t in range(T)
+    ]
+    rng.shuffle(rows)
+    header = "id,t,y," + ",".join(f"x{j}" for j in range(1, p + 1))
+    data = load_csv(_write(tmp_path, "\n".join([header] + rows) + "\n"))
+    order = np.argsort(ids)
+    assert np.array_equal(data.ids, ids[order])
+    assert np.array_equal(data.periods, periods[order])
+    assert np.array_equal(data.covariates, x[order])
+    assert np.array_equal(data.outcomes, y[order])
