@@ -12,16 +12,7 @@ and a simulation experiment are included, along with the ``felogit`` CLI.
 __version__ = "0.1.0"
 
 from ._kernels import active_backend
-from .altsets import (
-    DEFAULT_ENUMERATION_GUARD,
-    AlternativeSet,
-    DifferenceVector,
-    alternative_set,
-    denominator_dp,
-    difference_vectors,
-    enumerate_alternatives,
-    log_denominator_dp,
-)
+from .altsets import denominator_dp
 from .datasets import cli_report_schema_path, separated_panel_path
 from .detector import (
     STATUS_EXISTS,
@@ -56,14 +47,7 @@ from .simulate import FrequencyReport, SimConfig, existence_rate, generate_panel
 __all__ = [
     "__version__",
     "active_backend",
-    "DEFAULT_ENUMERATION_GUARD",
-    "AlternativeSet",
-    "DifferenceVector",
-    "alternative_set",
     "denominator_dp",
-    "difference_vectors",
-    "enumerate_alternatives",
-    "log_denominator_dp",
     "cli_report_schema_path",
     "separated_panel_path",
     "STATUS_EXISTS",

@@ -38,7 +38,7 @@ def active_backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-def logdenom_numpy(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarray):
+def logdenom_batch(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarray):
     """Vectorized recursion. scores (n,T), covariates (n,T,p), totals (n,).
 
     Returns ``(logden, mean)`` where ``logden[i]`` is log D_i and
@@ -96,9 +96,6 @@ def logdenom_numpy(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarra
         logden[rest] = lf[rows, ks]
         mean[rest] = h[rows, ks, :]
     return logden, mean
-
-
-logdenom_batch = logdenom_numpy
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,16 @@
-"""Alternative sets, attribute-difference vectors, and the denominator recursion.
+"""Enumerated alternative sets for the Hessian, and the denominator recursion.
 
 For an individual with T periods and choice total k, the alternative set is
 every binary sequence of length T summing to k. Sequences are enumerated in
-lexicographic order so that indexing is deterministic. Full enumeration is
-guarded (default C(T,k) <= 10**6); the likelihood denominator never needs
-it thanks to the recursion in :mod:`felogit._kernels`.
+lexicographic order so that indexing is deterministic. Only the Hessian
+enumerates, and only up to C(T,k) <= 10**6; the likelihood denominator never
+needs enumeration thanks to the recursion in :mod:`felogit._kernels`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,101 +19,27 @@ from ._kernels import logdenom_batch
 from .errors import AlternativeSetTooLargeError
 from .panel import IndividualSlice, PanelDataset
 
-DEFAULT_ENUMERATION_GUARD = 1_000_000
-
-
-def _check_guard(T: int, k: int, guard: int) -> int:
-    size = math.comb(T, k)
-    if size > guard:
-        raise AlternativeSetTooLargeError(
-            f"alternative set too large; use DP path or raise guard "
-            f"(C({T},{k}) = {size} > {guard})"
-        )
-    return size
+_MAX_ALTERNATIVES = 1_000_000
 
 
 @lru_cache(maxsize=256)
-def _alt_cache(T: int, k: int) -> np.ndarray:
+def _alternatives(T: int, k: int) -> np.ndarray:
+    """All {0,1}^T rows with sum k, lexicographically ordered, as a read-only
+    float (C(T,k), T) array."""
+    size = math.comb(T, k)
+    if size > _MAX_ALTERNATIVES:
+        raise AlternativeSetTooLargeError(
+            f"alternative set too large for the enumerated Hessian "
+            f"(C({T},{k}) = {size} > {_MAX_ALTERNATIVES})"
+        )
     # position tuples in ascending order correspond to vectors in descending
     # lexicographic order, so fill the rows back to front
-    size = math.comb(T, k)
-    out = np.zeros((size, T), dtype=np.int8)
+    out = np.zeros((size, T))
     for j, ones in enumerate(itertools.combinations(range(T), k)):
         for t in ones:
-            out[size - 1 - j, t] = 1
+            out[size - 1 - j, t] = 1.0
     out.setflags(write=False)
     return out
-
-
-@lru_cache(maxsize=256)
-def _alt_cache_f64(T: int, k: int) -> np.ndarray:
-    out = _alt_cache(T, k).astype(np.float64)
-    out.setflags(write=False)
-    return out
-
-
-def enumerate_alternatives(T: int, k: int, guard: int = DEFAULT_ENUMERATION_GUARD) -> np.ndarray:
-    """All {0,1}^T vectors with sum k, lexicographically ordered, as an (r, T) array."""
-    if not 0 <= k <= T:
-        raise ValueError(f"need 0 <= k <= T, got k={k}, T={T}")
-    _check_guard(T, k, guard)
-    return _alt_cache(T, k).copy()
-
-
-@dataclass(frozen=True)
-class AlternativeSet:
-    """The enumerated alternative set of one individual."""
-
-    owner: int
-    sequences: np.ndarray  # (r, T) binary rows, lexicographic
-
-    @property
-    def size(self) -> int:
-        return self.sequences.shape[0]
-
-
-@dataclass(frozen=True)
-class DifferenceVector:
-    """Attribute gap between alternative ``alt_index`` and the observed sequence."""
-
-    owner: int
-    alt_index: int
-    v: np.ndarray  # (p,)
-
-
-def alternative_set(slc: IndividualSlice, owner: int = 0,
-                    guard: int = DEFAULT_ENUMERATION_GUARD) -> AlternativeSet:
-    seqs = enumerate_alternatives(slc.T, slc.choice_total, guard)
-    return AlternativeSet(owner=owner, sequences=seqs)
-
-
-def difference_vectors(slc: IndividualSlice, owner: int = 0,
-                       guard: int = DEFAULT_ENUMERATION_GUARD) -> list[DifferenceVector]:
-    """One difference vector per alternative: sum_t (d_t - y_t) x_t.
-
-    The vector at the observed sequence's index is exactly zero. Requires an
-    informative slice.
-    """
-    if not slc.informative:
-        raise ValueError("difference vectors are only defined for informative slices")
-    _check_guard(slc.T, slc.choice_total, guard)
-    alts = _alt_cache_f64(slc.T, slc.choice_total)
-    attrs = alts @ slc.covariates  # (r, p)
-    obs_idx = int(np.flatnonzero((_alt_cache(slc.T, slc.choice_total) == slc.outcomes).all(axis=1))[0])
-    obs = attrs[obs_idx]  # same row, so the observed difference is exactly zero
-    return [
-        DifferenceVector(owner=owner, alt_index=j, v=attrs[j] - obs)
-        for j in range(attrs.shape[0])
-    ]
-
-
-def log_denominator_dp(slc: IndividualSlice, beta) -> tuple[float, np.ndarray]:
-    """Log of the conditional denominator and its gradient in beta."""
-    beta = _validate_beta(beta, slc.p)
-    scores = (slc.covariates @ beta)[None, :]
-    totals = np.array([slc.choice_total], dtype=np.int64)
-    ld, mean = logdenom_batch(scores, slc.covariates[None, :, :], totals)
-    return float(ld[0]), mean[0]
 
 
 def denominator_dp(slc: IndividualSlice, beta) -> tuple[float, np.ndarray]:
@@ -134,9 +59,9 @@ def denominator_dp(slc: IndividualSlice, beta) -> tuple[float, np.ndarray]:
         value = float(math.comb(T, k)) * math.exp(k * scores[0])
         mean = (k / T) * slc.covariates.sum(axis=0)
         return value, value * mean
-    ld, mean = log_denominator_dp(slc, beta)
-    value = math.exp(ld)
-    return value, value * mean
+    ld, mean = logdenom_batch(scores[None, :], slc.covariates[None], np.array([k]))
+    value = math.exp(ld[0])
+    return value, value * mean[0]
 
 
 def _validate_beta(beta, p: int) -> np.ndarray:
@@ -171,7 +96,7 @@ def observed_row_index(outcomes) -> int:
 _BATCH_CELL_BUDGET = 4_000_000  # cap on r * chunk rows held in memory at once
 
 
-def attribute_batches(data: PanelDataset, guard: int = DEFAULT_ENUMERATION_GUARD):
+def attribute_batches(data: PanelDataset):
     """Group informative individuals by choice total and enumerate once per group.
 
     Yields tuples ``(indices, alts, attrs, obs_index)`` where ``indices`` are
@@ -179,17 +104,18 @@ def attribute_batches(data: PanelDataset, guard: int = DEFAULT_ENUMERATION_GUARD
     that choice total, ``attrs`` the (nk, r, p) per-alternative attribute
     vectors, and ``obs_index`` the (nk,) position of each observed sequence
     inside ``alts``. Groups with large alternative sets are split into chunks
-    so the attribute block stays within a fixed memory budget.
+    so the attribute block stays within a fixed memory budget. Raises
+    :class:`~felogit.errors.AlternativeSetTooLargeError` above 10**6
+    alternatives.
     """
     totals = data.choice_totals
     mask = data.informative_mask
     T = data.T
     for kval in np.unique(totals[mask]):
         kval = int(kval)
-        r = _check_guard(T, kval, guard)
+        alts = _alternatives(T, kval)
         idx = np.flatnonzero(mask & (totals == kval))
-        alts = _alt_cache_f64(T, kval)
-        chunk = max(1, _BATCH_CELL_BUDGET // r)
+        chunk = max(1, _BATCH_CELL_BUDGET // alts.shape[0])
         for start in range(0, idx.shape[0], chunk):
             part = idx[start:start + chunk]
             attrs = np.einsum("rt,itp->irp", alts, data.covariates[part])

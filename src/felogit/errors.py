@@ -16,7 +16,7 @@ class NoInformativeIndividualsError(PanelDataError):
 
 
 class AlternativeSetTooLargeError(FelogitError, RuntimeError):
-    """C(T, k) exceeds the enumeration guard for some individual."""
+    """C(T, k) exceeds 10**6 for some individual, too many for the enumerated Hessian."""
 
 
 class QpConvergenceError(FelogitError, RuntimeError):

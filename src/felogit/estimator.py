@@ -3,8 +3,8 @@
 The conditional log-likelihood is globally concave, so a damped Newton
 iteration from beta = 0 converges whenever a finite maximizer exists. The
 value and score use the denominator recursion; the Hessian enumerates each
-individual's alternative set (guarded) to form the softmax covariance of
-attribute vectors.
+individual's alternative set to form the softmax covariance of attribute
+vectors, and so refuses C(T,k) above 10**6.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import logdenom_batch
-from .altsets import DEFAULT_ENUMERATION_GUARD, attribute_batches, _validate_beta
+from .altsets import attribute_batches, _validate_beta
 from .detector import (
     STATUS_EXISTS,
     STATUS_SEPARATED,
@@ -79,14 +79,14 @@ def conditional_loglik(data: PanelDataset, beta) -> float:
     return float(((Y * S).sum(axis=1) - logden).sum())
 
 
-def conditional_score_and_hessian(data: PanelDataset, beta,
-                                  guard: int = DEFAULT_ENUMERATION_GUARD):
+def conditional_score_and_hessian(data: PanelDataset, beta):
     """Score vector and Hessian matrix of the conditional log-likelihood.
 
     The score subtracts each individual's softmax-mean attribute vector
     (from the recursion) from the observed one; the Hessian is minus the sum
-    of softmax covariances of attribute vectors, computed by enumeration and
-    therefore subject to the guard.
+    of softmax covariances of attribute vectors, computed by enumeration,
+    which raises :class:`~felogit.errors.AlternativeSetTooLargeError` when
+    some C(T,k) exceeds 10**6.
     """
     beta = _validate_beta(beta, data.p)
     p = data.p
@@ -104,7 +104,7 @@ def conditional_score_and_hessian(data: PanelDataset, beta,
     obs = np.einsum("it,itp->ip", Y, X)
     score = (obs - mean).sum(axis=0)
 
-    for idx, _alts, attrs, _obs_index in attribute_batches(data, guard):
+    for idx, _alts, attrs, _obs_index in attribute_batches(data):
         e = attrs @ beta
         e -= e.max(axis=1, keepdims=True)
         w = np.exp(e)
@@ -131,8 +131,7 @@ def _solve_spd(neg_hessian: np.ndarray, rhs: np.ndarray):
 def fit(data: PanelDataset, force: bool = False, *,
         grad_tol: float = DEFAULT_GRAD_TOL,
         max_iter: int = DEFAULT_NEWTON_MAX_ITER,
-        tol: float = DEFAULT_QP_TOL,
-        guard: int = DEFAULT_ENUMERATION_GUARD) -> CmleFit:
+        tol: float = DEFAULT_QP_TOL) -> CmleFit:
     """Compute the conditional ML estimate, refusing when it does not exist.
 
     Runs the existence check first. If it reports anything other than
@@ -166,7 +165,7 @@ def fit(data: PanelDataset, force: bool = False, *,
 
     for it in range(1, max_iter + 1):
         iterations = it
-        score, hessian = conditional_score_and_hessian(data, beta, guard)
+        score, hessian = conditional_score_and_hessian(data, beta)
         score_sup = float(np.abs(score).max())
         if score_sup <= grad_tol:
             trace.append(NewtonStep(it, ll, score_sup, 0.0, float(np.linalg.norm(beta))))
@@ -194,7 +193,7 @@ def fit(data: PanelDataset, force: bool = False, *,
         ll = ll_c
         trace.append(NewtonStep(it, ll, score_sup, alpha, float(np.linalg.norm(beta))))
 
-    score, hessian = conditional_score_and_hessian(data, beta, guard)
+    score, hessian = conditional_score_and_hessian(data, beta)
     score_sup = float(np.abs(score).max())
     if score_sup <= grad_tol:
         converged = True

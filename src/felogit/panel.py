@@ -135,10 +135,6 @@ class PanelDataset:
     def slice(self, i: int) -> IndividualSlice:
         return IndividualSlice(self.covariates[i], self.outcomes[i])
 
-    def slices(self):
-        for i in range(self.n):
-            yield self.slice(i)
-
     @classmethod
     def from_arrays(cls, covariates, outcomes, ids=None, periods=None) -> "PanelDataset":
         """Build a panel from raw (n, T, p) covariates and (n, T) outcomes."""
@@ -158,12 +154,12 @@ def load_csv(path) -> PanelDataset:
 
     Rows may appear in any order; they are grouped by ``id`` and sorted by
     ``t`` within each individual. Every individual must have the same number
-    of rows and no duplicated ``(id, t)`` pair. Raises
-    :class:`~felogit.errors.PanelDataError` with a row/column location on
-    parse failures.
+    of rows and no duplicated ``(id, t)`` pair. A leading UTF-8 byte-order
+    mark is ignored. Raises :class:`~felogit.errors.PanelDataError` with a
+    row/column location on parse failures.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -19,8 +19,6 @@ from felogit import (
     STATUS_RANK_DEFICIENT,
     STATUS_SEPARATED,
     PanelDataset,
-    difference_vectors,
-    informative_subset,
 )
 
 
@@ -78,16 +76,11 @@ def sign_oracle_p1(data: PanelDataset) -> bool:
     """Scalar-covariate separation rule: separated iff every nonzero
     difference vector shares a weak sign."""
     assert data.p == 1
-    sub, _ = informative_subset(data)
-    values = []
-    for i in range(sub.n):
-        for dv in difference_vectors(sub.slice(i)):
-            v = float(dv.v[0])
-            if v != 0.0:
-                values.append(v)
-    if not values:
+    values = enum_differences(data)[:, 0]
+    values = values[values != 0.0]
+    if values.size == 0:
         return True  # no constraints at all: any direction separates weakly
-    return all(v >= 0.0 for v in values) or all(v <= 0.0 for v in values)
+    return bool((values >= 0.0).all() or (values <= 0.0).all())
 
 
 def enum_differences(data: PanelDataset) -> np.ndarray:

@@ -102,6 +102,14 @@ def test_check_long_panel_is_decided(capsys, tmp_path):
     code, out, err = run_cli(capsys, "check", path, "--output", "json")
     assert code == 0, err
     assert json.loads(out)["existence"]["status"] == "exists_unique"
+    # fit enumerates alternatives for its Hessian and refuses, without a traceback
+    code, out, err = run_cli(capsys, "fit", path, "--output", "json")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "felogit: error: alternative set too large for the enumerated Hessian "
+        "(C(30,15) = 155117520 > 1000000)\n"
+    )
 
 
 def test_seed_is_a_simulate_option_only(capsys, fixture_path):

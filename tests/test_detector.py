@@ -10,9 +10,7 @@ from felogit import (
     STATUS_SEPARATED,
     detect_panel_separation,
     detect_pooled_separation,
-    difference_vectors,
     generate_panel,
-    informative_subset,
     qp_problem_from_panel,
     qp_problem_from_pooled,
     rank_check,
@@ -48,10 +46,7 @@ def test_fixture_is_separated(fixture_panel):
     assert report.dropped_noninformative == 3
     assert report.rank_ok is True
     # every difference vector is weakly negative, some strictly
-    sub, _ = informative_subset(fixture_panel)
-    values = np.array(
-        [dv.v[0] for i in range(sub.n) for dv in difference_vectors(sub.slice(i))]
-    )
+    values = enum_differences(fixture_panel)[:, 0]
     assert (values <= 0.0).all() and (values < 0.0).any()
 
 
@@ -85,13 +80,7 @@ def test_constant_covariates_are_rank_deficient():
 
 def test_rank_of_fixture_via_independent_svd(fixture_panel):
     # at beta = 0 the weights are uniform, so rows are attrs minus their mean
-    sub, _ = informative_subset(fixture_panel)
-    rows = []
-    for i in range(sub.n):
-        attrs = np.array([dv.v for dv in difference_vectors(sub.slice(i))])
-        rows.append(attrs - attrs.mean(axis=0))
-    stacked = np.vstack(rows)
-    singulars = np.linalg.svd(stacked, compute_uv=False)
+    singulars = np.linalg.svd(enum_centered_attributes(fixture_panel), compute_uv=False)
     assert singulars[0] > 1e-6  # rank 1 for p = 1
     result = rank_check(fixture_panel)
     assert result.rank_ok and result.probes[0].rank == 1
@@ -262,7 +251,7 @@ def test_pooled_problem_shape(fixture_panel):
 
 def test_long_panel_with_rare_events():
     # T = 100 with one-hot outcomes: alternative sets have 100 members each,
-    # well under the guard, and row indexing must not overflow
+    # well under the 10**6 enumeration cap, and row indexing must not overflow
     rng = np.random.default_rng(67)
     x = rng.standard_normal((3, 100, 1))
     y = np.zeros((3, 100), dtype=int)

@@ -14,7 +14,7 @@ from felogit import (
 
 def _write(tmp_path, text, name="panel.csv"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -193,6 +193,9 @@ def test_malformed_csv_messages_are_exact(tmp_path, text, message):
     # one period per individual
     ("id,t,y,x1,x2\n2,5,1,1.5,2.5\n1,9,0,-0.5,0.25\n",
      [1, 2], [[9], [5]], [[[-0.5, 0.25]], [[1.5, 2.5]]], [[0], [1]]),
+    # a leading UTF-8 byte-order mark, as spreadsheet programs write it
+    ("\ufeffid,t,y,x1\n1,1,0,0.1\n1,2,1,0.2\n",
+     [1], [[1, 2]], [[[0.1], [0.2]]], [[0, 1]]),
 ])
 def test_load_csv_exact_arrays(tmp_path, text, ids, periods, covariates, outcomes):
     data = load_csv(_write(tmp_path, text))
