@@ -20,6 +20,7 @@ from .errors import AlternativeSetTooLargeError
 from .panel import IndividualSlice, PanelDataset
 
 _MAX_ALTERNATIVES = 1_000_000
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 
 @lru_cache(maxsize=256)
@@ -47,20 +48,22 @@ def denominator_dp(slc: IndividualSlice, beta) -> tuple[float, np.ndarray]:
 
     Computes sum over the alternative set of exp(sum_t d_t x_t'beta) and the
     gradient of that sum, via the log-scaled recursion. At beta = 0 the value
-    is exactly C(T, k). Requires an informative slice and finite beta.
+    is exactly C(T, k). Requires an informative slice and finite beta, and
+    raises ``ValueError`` when the value or its gradient overflows float64.
     """
     if not slc.informative:
         raise ValueError("denominator_dp requires an informative slice")
     beta = _validate_beta(beta, slc.p)
     scores = slc.covariates @ beta
-    k, T = slc.choice_total, slc.T
+    k = slc.choice_total
+    ld, mean = logdenom_batch(scores[None, :], slc.covariates[None], np.array([k]))
+    if ld[0] + math.log(max(1.0, float(np.abs(mean).max()))) > _LOG_FLOAT_MAX:
+        raise ValueError(f"denominator or its gradient overflows float64: log D = {ld[0]:.6g}")
     if np.all(scores == scores[0]):
         # equal scores: D = C(T,k) * exp(k * s); exact at beta = 0
-        value = float(math.comb(T, k)) * math.exp(k * scores[0])
-        mean = (k / T) * slc.covariates.sum(axis=0)
-        return value, value * mean
-    ld, mean = logdenom_batch(scores[None, :], slc.covariates[None], np.array([k]))
-    value = math.exp(ld[0])
+        value = float(math.comb(slc.T, k)) * math.exp(k * scores[0])
+    else:
+        value = math.exp(ld[0])
     return value, value * mean[0]
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -342,8 +343,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _checked(convert, valid, requirement: str):
+    """argparse type: ``convert`` the text, then require ``valid`` of the value."""
+    def parse(text: str):
+        value = convert(text)
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid float value: ..."
+    return parse
+
+
+_tolerance = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "a finite number > 0")
+_iteration_cap = _checked(int, lambda v: v >= 0, "an integer >= 0")
+
+
 def _add_common(sub):
-    sub.add_argument("--tol", type=float, default=DEFAULT_QP_TOL,
+    sub.add_argument("--tol", type=_tolerance, default=DEFAULT_QP_TOL,
                      help="decision tolerance on the QP minimum")
     sub.add_argument("--output", choices=("text", "json"), default="text")
 
@@ -352,7 +368,7 @@ def _add_check(commands, name: str, help_text: str) -> None:
     sub = commands.add_parser(name, help=help_text)
     sub.add_argument("csv")
     _add_common(sub)
-    sub.add_argument("--max-iter", type=int, default=DEFAULT_QP_MAX_ITER,
+    sub.add_argument("--max-iter", type=_iteration_cap, default=DEFAULT_QP_MAX_ITER,
                      help="cap on QP active-set steps")
     sub.set_defaults(handler=cmd_check)
 
@@ -369,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--force", action="store_true",
                        help="estimate even when the existence check fails")
     _add_common(fit_p)
-    fit_p.add_argument("--max-iter", type=int, default=DEFAULT_NEWTON_MAX_ITER,
+    fit_p.add_argument("--max-iter", type=_iteration_cap, default=DEFAULT_NEWTON_MAX_ITER,
                        help="Newton iteration cap")
     fit_p.set_defaults(handler=cmd_fit)
 

@@ -71,16 +71,6 @@ class QpProblem:
     vectors: np.ndarray     # (m, p) deduplicated, zero rows removed
     normalized: np.ndarray  # (m, p) unit rows
 
-    def __post_init__(self):
-        if self.vectors.ndim != 2 or self.vectors.shape != self.normalized.shape:
-            raise ValueError("vectors and normalized must be matching (m, p) arrays")
-        norms = np.linalg.norm(self.vectors, axis=1)
-        if self.size and not (norms > 0).all():
-            raise ValueError("QpProblem rows must be nonzero")
-        unit = np.linalg.norm(self.normalized, axis=1)
-        if self.size and not np.allclose(unit, 1.0, atol=1e-12):
-            raise ValueError("normalized rows must have unit length")
-
     @property
     def size(self) -> int:
         return self.vectors.shape[0]
@@ -108,7 +98,7 @@ class ExistenceReport:
     iterations: int
     n_constraints: int
     tolerance: float
-    kkt_tolerance: float
+    kkt_tolerance: float = DEFAULT_KKT_TOL
     dropped_noninformative: int = 0
     kkt_margin: float | None = None
     rank: RankCheckResult | None = None
@@ -120,12 +110,16 @@ class ExistenceReport:
 
 
 def _dedup_nonzero(rows: np.ndarray) -> QpProblem:
-    norms = np.linalg.norm(rows, axis=1)
-    rows = rows[norms > 0.0]
-    rows = np.unique(rows, axis=0) if rows.size else rows.reshape(0, rows.shape[1])
-    norms = np.linalg.norm(rows, axis=1)
-    normalized = rows / norms[:, None] if rows.size else rows.copy()
-    return QpProblem(vectors=rows, normalized=normalized)
+    """The QP problem over the distinct nonzero ``rows``.
+
+    Merging duplicates is not just a speed-up: every row carries a weight
+    lam >= 1, so a repeated row would change the QP minimum and, for p >= 2,
+    the direction (never the verdict), e.g. for a copied individual.
+    """
+    rows = rows[np.linalg.norm(rows, axis=1) > 0.0]
+    if rows.size:
+        rows = np.unique(rows, axis=0)
+    return QpProblem(vectors=rows, normalized=rows / np.linalg.norm(rows, axis=1)[:, None])
 
 
 def qp_problem_from_panel(data: PanelDataset) -> QpProblem:
@@ -208,15 +202,14 @@ def rank_check(data: PanelDataset) -> RankCheckResult:
     return RankCheckResult(p=p, probes=(probe,))
 
 
-def _qp_report(problem: QpProblem, tol: float, kkt_tol: float, max_iter: int,
-               **fields) -> ExistenceReport:
+def _qp_report(problem: QpProblem, tol: float, max_iter: int, **fields) -> ExistenceReport:
     """Solve the QP over ``problem`` and assemble the report of its verdict.
 
     A separated report carries the unit direction u*/|u*| and its KKT margin
     min_k w_k'u*/|u*|. Raises :class:`QpConvergenceError` when the solver
     hits its cap on active-set steps.
     """
-    _lam, q, u, iters, flag, viol = qp_minimize(problem.normalized, tol, kkt_tol, max_iter)
+    _, q, u, iters, flag, viol = qp_minimize(problem.normalized, tol, DEFAULT_KKT_TOL, max_iter)
     if flag == QP_MAXITER:
         raise QpConvergenceError(
             f"QP did not converge; raise iteration cap: q={q:.6g}, KKT violation"
@@ -230,7 +223,6 @@ def _qp_report(problem: QpProblem, tol: float, kkt_tol: float, max_iter: int,
         iterations=iters,
         n_constraints=problem.size,
         tolerance=tol,
-        kkt_tolerance=kkt_tol,
         **fields,
     )
     if report.status == STATUS_SEPARATED:
@@ -240,7 +232,6 @@ def _qp_report(problem: QpProblem, tol: float, kkt_tol: float, max_iter: int,
 
 
 def detect_panel_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
-                            kkt_tol: float = DEFAULT_KKT_TOL,
                             max_iter: int = DEFAULT_QP_MAX_ITER) -> ExistenceReport:
     """Decide whether the conditional ML estimate exists and is unique.
 
@@ -264,13 +255,11 @@ def detect_panel_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
             iterations=0,
             n_constraints=0,
             tolerance=tol,
-            kkt_tolerance=kkt_tol,
             dropped_noninformative=dropped,
             rank=rank,
             message="no within-individual covariate variation; every swap vector is zero",
         )
-    report = _qp_report(problem, tol, kkt_tol, max_iter,
-                        dropped_noninformative=dropped, rank=rank)
+    report = _qp_report(problem, tol, max_iter, dropped_noninformative=dropped, rank=rank)
     if not rank.rank_ok:
         report.status = STATUS_RANK_DEFICIENT
         report.message = (f"covariates vary within individuals in only"
@@ -279,7 +268,6 @@ def detect_panel_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
 
 
 def detect_pooled_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
-                             kkt_tol: float = DEFAULT_KKT_TOL,
                              max_iter: int = DEFAULT_QP_MAX_ITER) -> ExistenceReport:
     """Cross-sectional separation check on the stacked observations.
 
@@ -292,4 +280,4 @@ def detect_pooled_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
     problem = qp_problem_from_pooled(data)
     classes = np.unique(data.outcomes)
     message = "degenerate: one outcome class" if classes.size < 2 else None
-    return _qp_report(problem, tol, kkt_tol, max_iter, message=message)
+    return _qp_report(problem, tol, max_iter, message=message)

@@ -129,7 +129,6 @@ def _solve_spd(neg_hessian: np.ndarray, rhs: np.ndarray):
 
 
 def fit(data: PanelDataset, force: bool = False, *,
-        grad_tol: float = DEFAULT_GRAD_TOL,
         max_iter: int = DEFAULT_NEWTON_MAX_ITER,
         tol: float = DEFAULT_QP_TOL) -> CmleFit:
     """Compute the conditional ML estimate, refusing when it does not exist.
@@ -144,10 +143,11 @@ def fit(data: PanelDataset, force: bool = False, *,
 
     Newton's method starts at beta = 0 with Armijo backtracking on the
     log-likelihood and stops when the sup-norm of the score drops below
-    ``grad_tol``. When the predicted gain of a step is within the round-off
-    of the log-likelihood, the Armijo test cannot see it, and the full step
-    is taken untested. Standard errors come from the inverse observed
-    information at the estimate.
+    ``DEFAULT_GRAD_TOL`` (1e-8). When the predicted gain of a step is within
+    the round-off of the log-likelihood, the Armijo test cannot see it, and
+    the full step is taken untested. Standard errors come from the inverse
+    observed information at the estimate, where the last Newton iterate's
+    score and Hessian are reused.
     """
     gate = detect_panel_separation(data, tol=tol)
     if gate.status != STATUS_EXISTS and not force:
@@ -155,21 +155,15 @@ def fit(data: PanelDataset, force: bool = False, *,
             raise NonexistenceError("estimate does not exist (separated)", report=gate)
         raise NonexistenceError("rank condition failed", report=gate)
 
-    p = data.p
-    beta = np.zeros(p)
+    beta = np.zeros(data.p)
     ll = conditional_loglik(data, beta)
+    score, hessian = conditional_score_and_hessian(data, beta)
     trace: list[NewtonStep] = []
-    converged = False
-    score_sup = np.inf
-    iterations = 0
 
     for it in range(1, max_iter + 1):
-        iterations = it
-        score, hessian = conditional_score_and_hessian(data, beta)
         score_sup = float(np.abs(score).max())
-        if score_sup <= grad_tol:
+        if score_sup <= DEFAULT_GRAD_TOL:
             trace.append(NewtonStep(it, ll, score_sup, 0.0, float(np.linalg.norm(beta))))
-            converged = True
             break
         delta, _ = _solve_spd(-hessian, score)
         slope = float(score @ delta)
@@ -189,17 +183,14 @@ def fit(data: PanelDataset, force: bool = False, *,
         if alpha < 1e-16 and ll_c < ll:
             trace.append(NewtonStep(it, ll, score_sup, 0.0, float(np.linalg.norm(beta))))
             break  # line search stalled; report non-convergence honestly
-        beta = cand
-        ll = ll_c
+        beta, ll = cand, ll_c
         trace.append(NewtonStep(it, ll, score_sup, alpha, float(np.linalg.norm(beta))))
+        score, hessian = conditional_score_and_hessian(data, beta)
 
-    score, hessian = conditional_score_and_hessian(data, beta)
     score_sup = float(np.abs(score).max())
-    if score_sup <= grad_tol:
-        converged = True
+    converged = score_sup <= DEFAULT_GRAD_TOL
 
-    cov, ridge = _solve_spd(-hessian, np.eye(p))
-    ses_flagged = ridge > 0.0
+    cov, ridge = _solve_spd(-hessian, np.eye(data.p))
     std_errors = np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
     diagnostic = None
@@ -209,14 +200,14 @@ def fit(data: PanelDataset, force: bool = False, *,
             f"existence gate reported {gate.status}; |beta| reached "
             f"{np.linalg.norm(beta):.6g} and any finite stopping point is spurious"
         )
-        if ses_flagged:
+        if ridge > 0.0:
             diagnostic += "; observed information was singular, standard errors are ridged"
     return CmleFit(
         beta_hat=beta,
         std_errors=std_errors,
         loglik=ll,
         gradient_norm=score_sup,
-        iterations=iterations,
+        iterations=len(trace),
         converged=converged,
         gate=gate,
         trace=trace,

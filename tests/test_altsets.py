@@ -157,6 +157,26 @@ def test_beta_validation():
         denominator_dp(slc, np.array([np.inf]))
 
 
+@pytest.mark.parametrize("x", [(400.0, 401.0, 0.0), (400.0, 400.0, 400.0)])
+def test_denominator_overflow_is_a_value_error(x):
+    # log D = 801 from the recursion, log 3 + 800 from the equal-score branch;
+    # both lie beyond log(float max) ~ 709.78
+    slc = IndividualSlice(np.array(x)[:, None], np.array([1, 1, 0]))
+    with pytest.raises(ValueError, match=r"overflows float64: log D = 801"):
+        denominator_dp(slc, np.array([1.0]))
+
+
+@pytest.mark.parametrize("x", [(350.0, 351.0, 0.0), (350.0, 350.0, 350.0)])
+def test_denominator_just_below_overflow_returns(x):
+    slc = IndividualSlice(np.array(x)[:, None], np.array([1, 1, 0]))
+    value, grad = denominator_dp(slc, np.array([1.0]))
+    log_value, mean = _log_denominator(slc, np.array([1.0]))
+    assert log_value > 700.0
+    assert math.isfinite(value) and np.isfinite(grad).all()
+    assert value == pytest.approx(math.exp(log_value), rel=1e-12)
+    np.testing.assert_allclose(grad, value * mean, rtol=1e-12)
+
+
 def test_observed_row_index_matches_enumeration():
     for T in range(1, 8):
         for k in range(0, T + 1):

@@ -242,6 +242,30 @@ def test_simulate_bad_beta0_exits_1(capsys):
     assert code == 1
 
 
+SIM_ARGS = ("simulate", "--n", "10", "--T", "4", "--p", "2", "--beta0", "2,-1")
+
+
+@pytest.mark.parametrize("args", [
+    ("fit", "FIXTURE", "--tol", "inf"),
+    ("fit", "FIXTURE", "--force", "--tol", "inf"),
+    ("check", "FIXTURE", "--tol", "nan"),
+    ("check", "FIXTURE", "--tol", "-1"),
+    ("pooled-check", "FIXTURE", "--tol", "0"),
+    SIM_ARGS + ("--tol", "nan"),
+    ("fit", "FIXTURE", "--max-iter", "-3"),
+    ("check", "FIXTURE", "--max-iter", "-1"),
+], ids=" ".join)
+def test_invalid_tol_or_max_iter_is_a_usage_error(capsys, fixture_path, args):
+    argv = [str(fixture_path) if a == "FIXTURE" else a for a in args]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("usage: felogit ")
+    option = "--tol" if "--tol" in args else "--max-iter"
+    assert f"error: argument {option}: must be " in err
+
+
 def test_json_round_trip_and_stability(capsys, fixture_path):
     _, out1, _ = run_cli(capsys, "check", str(fixture_path), "--output", "json")
     _, out2, _ = run_cli(capsys, "check", str(fixture_path), "--output", "json")

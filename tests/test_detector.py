@@ -161,13 +161,22 @@ def test_noninformative_individuals_do_not_change_report():
             np.concatenate([data.outcomes, extra_y]),
         )
         other = detect_panel_separation(padded)
-        assert other.status == base.status
-        assert other.qp_min == base.qp_min
         assert other.dropped_noninformative == base.dropped_noninformative + 2
-        if base.direction is None:
-            assert other.direction is None
-        else:
-            assert np.array_equal(other.direction, base.direction)
+        # a copy of an informative individual adds only duplicate swap
+        # vectors, which the QP merges
+        i = int(np.flatnonzero(data.informative_mask)[0])
+        copied = PanelDataset.from_arrays(
+            np.concatenate([data.covariates, data.covariates[i:i + 1]]),
+            np.concatenate([data.outcomes, data.outcomes[i:i + 1]]),
+        )
+        for report in (other, detect_panel_separation(copied)):
+            assert report.status == base.status
+            assert report.qp_min == base.qp_min
+            assert report.n_constraints == base.n_constraints
+            if base.direction is None:
+                assert report.direction is None
+            else:
+                assert np.array_equal(report.direction, base.direction)
 
 
 def test_sign_oracle_agreement_scalar_covariate():

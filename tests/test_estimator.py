@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import felogit.estimator as estimator
 from felogit import (
     NonexistenceError,
     PanelDataset,
@@ -21,6 +22,16 @@ from oracles import central_diff_gradient, central_diff_jacobian, random_panel
 def _panel(x_rows, y_rows):
     x = np.asarray(x_rows, dtype=float)[:, :, None]
     return PanelDataset.from_arrays(x, np.asarray(y_rows))
+
+
+def _logit_panel(seed: int) -> PanelDataset:
+    """An n=100, T=4 logit panel: normal covariates and effects, beta0 = (1, -0.5)."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((100, 4, 2))
+    effects = rng.standard_normal(100)
+    noise = rng.logistic(size=(100, 4))
+    y = (x @ np.array([1.0, -0.5]) + effects[:, None] + noise > 0).astype(np.int8)
+    return PanelDataset.from_arrays(x, y)
 
 
 SINGLE = _panel([[0.0, 1.0]], [[0, 1]])
@@ -237,12 +248,38 @@ def test_newton_converges_when_gains_fall_below_loglik_roundoff():
     # with the score near 1e-8 the gain of a Newton step is below the
     # round-off of loglik ~ -100; an Armijo test on it shrinks every step
     # and Newton used to stall at gradient_norm ~ 2e-8 after 100 iterations
-    rng = np.random.default_rng(32)
-    x = rng.standard_normal((100, 4, 2))
-    effects = rng.standard_normal(100)
-    noise = rng.logistic(size=(100, 4))
-    y = (x @ np.array([1.0, -0.5]) + effects[:, None] + noise > 0).astype(np.int8)
-    result = fit(PanelDataset.from_arrays(x, y))
+    result = fit(_logit_panel(32))
     assert result.converged
     assert result.gradient_norm <= 1e-8
     assert result.iterations < 20
+
+
+def test_fit_evaluates_score_and_hessian_once_per_iterate(monkeypatch):
+    calls = []
+    evaluate = estimator.conditional_score_and_hessian
+
+    def counted(data, beta):
+        calls.append(np.array(beta, dtype=float))
+        return evaluate(data, beta)
+
+    monkeypatch.setattr(estimator, "conditional_score_and_hessian", counted)
+    for seed in (32, 33, 34):
+        calls.clear()
+        result = fit(_logit_panel(seed))
+        assert result.converged
+        assert result.iterations >= 3
+        assert len(calls) == result.iterations
+        # no iterate is evaluated twice
+        assert len({c.tobytes() for c in calls}) == len(calls)
+
+
+@pytest.mark.parametrize("max_iter", [0, 2])
+def test_capped_fit_reports_score_and_errors_at_its_estimate(max_iter):
+    data = _logit_panel(32)
+    result = fit(data, max_iter=max_iter)
+    assert result.iterations == max_iter
+    assert not result.converged
+    score, hessian = conditional_score_and_hessian(data, result.beta_hat)
+    assert result.gradient_norm == float(np.abs(score).max())
+    expected = np.sqrt(np.diag(np.linalg.inv(-hessian)))
+    np.testing.assert_allclose(result.std_errors, expected, rtol=1e-12, atol=0.0)
