@@ -5,14 +5,15 @@ conditional likelihood has no maximizer. This package decides, before
 estimating, whether a finite unique estimate exists (an exact rank test on
 the within-individual covariate variation plus a quadratic-programming
 separation test on single-swap attribute differences) and
-only then runs the Newton fit. A pooled cross-sectional separation check
-and a simulation experiment are included, along with the ``felogit`` CLI.
+only then runs the Newton fit, whose value, score and Hessian come from a
+recursion over the periods instead of an enumeration of the C(T, k)
+alternative sequences. A pooled cross-sectional separation check and a
+simulation experiment are included, along with the ``felogit`` CLI.
 """
 
 __version__ = "0.1.0"
 
 from ._kernels import active_backend
-from .altsets import denominator_dp
 from .datasets import cli_report_schema_path, separated_panel_path
 from .detector import (
     STATUS_EXISTS,
@@ -28,7 +29,6 @@ from .detector import (
     rank_check,
 )
 from .errors import (
-    AlternativeSetTooLargeError,
     FelogitError,
     NoInformativeIndividualsError,
     NonexistenceError,
@@ -39,6 +39,7 @@ from .estimator import (
     CmleFit,
     conditional_loglik,
     conditional_score_and_hessian,
+    denominator_dp,
     fit,
 )
 from .panel import IndividualSlice, PanelDataset, informative_subset, load_csv
@@ -61,7 +62,6 @@ __all__ = [
     "qp_problem_from_panel",
     "qp_problem_from_pooled",
     "rank_check",
-    "AlternativeSetTooLargeError",
     "FelogitError",
     "NoInformativeIndividualsError",
     "NonexistenceError",

@@ -1,9 +1,9 @@
 """Hot numeric kernels, in numpy.
 
 Two computations dominate runtime: the per-individual recursion that
-evaluates the conditional-likelihood denominator (and its gradient), and the
-nonnegative least-squares solve behind the separation QP. Both are
-deterministic given their inputs.
+evaluates the conditional-likelihood denominator with its gradient and
+Hessian, and the nonnegative least-squares solve behind the separation QP.
+Both are deterministic given their inputs.
 """
 
 from __future__ import annotations
@@ -24,25 +24,41 @@ def active_backend() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Batched log-denominator of the conditional likelihood, with beta-gradient.
+# Batched log-denominator of the conditional likelihood, with the first two
+# moments of the attribute vector.
 #
 # For individual i with scores s_t = x_it'beta and choice total k, the
 # denominator is D = sum over binary d with sum(d)=k of exp(sum_t d_t s_t).
-# The recursion f(t,m) = f(t-1,m) + f(t-1,m-1)*exp(s_t) is carried on
-# log-scaled accumulators so nothing overflows for |s_t| <= 700. The
-# companion accumulator h(t,m) carries the softmax-weighted mean attribute
-# vector, which is the gradient of log D in beta.
+# The recursion f(t,m) = f(t-1,m) + f(t-1,m-1)*exp(s_t) (Gail, Lubin &
+# Rubinstein 1981) is carried on log-scaled accumulators so nothing overflows
+# for |s_t| <= 700. It splits the sequences of f(t,m) into two branches,
+# d_t = 0 with weight w1 = f(t-1,m)/f(t,m) and d_t = 1 with weight w2 = 1 - w1.
+# The companion accumulator h(t,m) carries the softmax-weighted mean attribute
+# vector sum_t d_t x_t, the gradient of log D in beta, and C(t,m) its
+# covariance, minus the Hessian of log D. Both mix the two branches:
+#   h(t,m) = w1 h(t-1,m) + w2 (h(t-1,m-1) + x_t)
+#   C(t,m) = w1 C(t-1,m) + w2 C(t-1,m-1) + w1 w2 d d',
+#   d = h(t-1,m) - h(t-1,m-1) - x_t,
+# the law of total variance, which never subtracts E[aa'] - mu mu'.
 #
-# Slices with identical scores (in particular beta = 0) take a closed form,
+# Slices with k = 0 or k = T have one sequence and zero covariance. Slices
+# with identical scores (in particular beta = 0) take the uniform closed form,
 # which keeps D = C(T,k) exact at beta = 0.
 # ---------------------------------------------------------------------------
 
+_BATCH_CELL_BUDGET = 4_000_000  # cap on the cells of the largest accumulator block
 
-def logdenom_batch(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarray):
+
+def logdenom_batch(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarray,
+                   order: int = 1):
     """Vectorized recursion. scores (n,T), covariates (n,T,p), totals (n,).
 
-    Returns ``(logden, mean)`` where ``logden[i]`` is log D_i and
-    ``mean[i]`` is d(log D_i)/d(beta).
+    Returns the first ``order + 1`` of ``(logden, mean, cov)``: ``logden[i]``
+    is log D_i, ``mean[i]`` is d(log D_i)/d(beta) and ``cov[i]`` the (p, p)
+    second derivative. The recursion carries no accumulator beyond
+    ``order``, and the values returned are the same bits whatever ``order``
+    is. It runs over chunks of rows whose largest accumulator block holds at
+    most ``_BATCH_CELL_BUDGET`` cells.
     """
     scores = np.ascontiguousarray(scores, dtype=np.float64)
     covariates = np.ascontiguousarray(covariates, dtype=np.float64)
@@ -51,8 +67,10 @@ def logdenom_batch(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarra
     p = covariates.shape[2]
     logden = np.zeros(n)
     mean = np.zeros((n, p))
+    cov = np.zeros((n, p, p))
+    out = (logden, mean, cov)[:order + 1]
     if n == 0:
-        return logden, mean
+        return out
 
     k0 = totals == 0
     kT = totals == T
@@ -70,32 +88,55 @@ def logdenom_batch(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarra
         )
         logden[eq] = lcomb + ke * scores[eq, 0]
         mean[eq] = (ke / Tf)[:, None] * covariates[eq].sum(axis=1)
+        if order >= 2:
+            # uniform over the C(T,k) sequences: k(T-k)/(T(T-1)) Xc'Xc, with Xc
+            # demeaned from differences, so a covariate constant over time
+            # gives exactly zero instead of demeaning round-off
+            diffs = covariates[eq] - covariates[eq, :1]
+            Xc = diffs - diffs.mean(axis=1, keepdims=True)
+            weight = ke * (Tf - ke) / (Tf * (Tf - 1.0))
+            cov[eq] = weight[:, None, None] * np.einsum("itp,itq->ipq", Xc, Xc)
 
-    rest = ~(k0 | kT | eq)
-    if rest.any():
-        S = scores[rest]
-        X = covariates[rest]
-        ks = totals[rest]
-        nr = S.shape[0]
-        kmax = int(ks.max())
-        lf = np.full((nr, kmax + 1), -np.inf)
-        lf[:, 0] = 0.0
-        h = np.zeros((nr, kmax + 1, p))
-        for t in range(T):
-            st = S[:, t]
-            xt = X[:, t, :]
-            for m in range(min(t + 1, kmax), 0, -1):
-                a = lf[:, m]
-                b = lf[:, m - 1] + st
-                c = np.logaddexp(a, b)
+    rest = np.flatnonzero(~(k0 | kT | eq))
+    if rest.size:
+        kmax = int(totals[rest].max())
+        chunk = max(1, _BATCH_CELL_BUDGET // ((kmax + 1) * p ** order))
+        for start in range(0, rest.size, chunk):
+            part = rest[start:start + chunk]
+            moments = _recursion(scores[part], covariates[part], totals[part], order)
+            for target, value in zip(out, moments):
+                target[part] = value
+    return out
+
+
+def _recursion(S: np.ndarray, X: np.ndarray, ks: np.ndarray, order: int):
+    """The log-scaled recursion over rows with 0 < k < T; returns the first
+    ``order + 1`` accumulators at each row's own k."""
+    nr, T = S.shape
+    p = X.shape[2]
+    kmax = int(ks.max())
+    lf = np.full((nr, kmax + 1), -np.inf)
+    lf[:, 0] = 0.0
+    h = np.zeros((nr, kmax + 1, p)) if order >= 1 else None
+    C = np.zeros((nr, kmax + 1, p, p)) if order >= 2 else None
+    for t in range(T):
+        st = S[:, t]
+        xt = X[:, t, :]
+        for m in range(min(t + 1, kmax), 0, -1):
+            a = lf[:, m]
+            b = lf[:, m - 1] + st
+            c = np.logaddexp(a, b)
+            if order >= 1:
                 w1 = np.exp(a - c)  # a = -inf gives 0; c is finite for m <= t+1
                 w2 = np.exp(b - c)
+                if order >= 2:
+                    d = h[:, m, :] - h[:, m - 1, :] - xt
+                    C[:, m] = (w1[:, None, None] * C[:, m] + w2[:, None, None] * C[:, m - 1]
+                               + (w1 * w2)[:, None, None] * (d[:, :, None] * d[:, None, :]))
                 h[:, m, :] = w1[:, None] * h[:, m, :] + w2[:, None] * (h[:, m - 1, :] + xt)
-                lf[:, m] = c
-        rows = np.arange(nr)
-        logden[rest] = lf[rows, ks]
-        mean[rest] = h[rows, ks, :]
-    return logden, mean
+            lf[:, m] = c
+    rows = np.arange(nr)
+    return tuple(acc[rows, ks] for acc in (lf, h, C)[:order + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ scale-free.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,6 +203,15 @@ def rank_check(data: PanelDataset) -> RankCheckResult:
     return RankCheckResult(p=p, probes=(probe,))
 
 
+def _check_options(tol, max_iter) -> None:
+    """Raise ``ValueError`` unless ``tol`` is a finite number > 0 and
+    ``max_iter`` an integer >= 0."""
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+
+
 def _qp_report(problem: QpProblem, tol: float, max_iter: int, **fields) -> ExistenceReport:
     """Solve the QP over ``problem`` and assemble the report of its verdict.
 
@@ -242,8 +252,10 @@ def detect_panel_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
     combination (unit-normalized) is reported as the separating direction.
     ``max_iter`` caps the solver's active-set steps. The rank condition is
     decided as well and, when it fails, overrides the QP verdict with
-    ``rank_deficient``. Deterministic given inputs.
+    ``rank_deficient``. Deterministic given inputs. Raises ``ValueError``
+    unless ``tol`` is finite and > 0 and ``max_iter`` an integer >= 0.
     """
+    _check_options(tol, max_iter)
     sub, dropped = informative_subset(data)
     rank = rank_check(sub)
     problem = qp_problem_from_panel(sub)
@@ -275,8 +287,10 @@ def detect_pooled_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
     that predicts every outcome correctly exists if and only if the QP
     minimum stays away from zero, in which case the pooled logit ML estimate
     does not exist. Uses the same QP machinery as the panel check on vectors
-    (2y - 1) * (1, x').
+    (2y - 1) * (1, x'), and validates ``tol`` and ``max_iter`` as
+    :func:`detect_panel_separation` does.
     """
+    _check_options(tol, max_iter)
     problem = qp_problem_from_pooled(data)
     classes = np.unique(data.outcomes)
     message = "degenerate: one outcome class" if classes.size < 2 else None

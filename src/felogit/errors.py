@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The CLI reports any :class:`FelogitError` on stderr with exit 1, except a
+:class:`NonexistenceError`, whose report decides the exit code. Invalid
+arguments to the API (a beta of the wrong length, a tolerance that is not a
+finite positive number) raise plain ``ValueError``.
+"""
 
 from __future__ import annotations
 
@@ -13,10 +19,6 @@ class PanelDataError(FelogitError, ValueError):
 
 class NoInformativeIndividualsError(PanelDataError):
     """Every individual has an all-zero or all-one outcome sequence."""
-
-
-class AlternativeSetTooLargeError(FelogitError, RuntimeError):
-    """C(T, k) exceeds 10**6 for some individual, too many for the enumerated Hessian."""
 
 
 class QpConvergenceError(FelogitError, RuntimeError):

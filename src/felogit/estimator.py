@@ -1,29 +1,31 @@
 """Conditional maximum likelihood estimation, gated by the existence check.
 
 The conditional log-likelihood is globally concave, so a damped Newton
-iteration from beta = 0 converges whenever a finite maximizer exists. The
-value and score use the denominator recursion; the Hessian enumerates each
-individual's alternative set to form the softmax covariance of attribute
-vectors, and so refuses C(T,k) above 10**6.
+iteration from beta = 0 converges whenever a finite maximizer exists. Value,
+score and Hessian all come from the denominator recursion in
+:mod:`felogit._kernels`, which carries log D, the softmax mean and the
+softmax covariance of the attribute vectors over each individual's
+alternative sequences without enumerating them, so no C(T, k) is too large.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._kernels import logdenom_batch
-from .altsets import attribute_batches, _validate_beta
 from .detector import (
     STATUS_EXISTS,
     STATUS_SEPARATED,
     DEFAULT_QP_TOL,
     ExistenceReport,
+    _check_options,
     detect_panel_separation,
 )
 from .errors import NonexistenceError
-from .panel import PanelDataset
+from .panel import IndividualSlice, PanelDataset
 
 DEFAULT_GRAD_TOL = 1e-8
 DEFAULT_NEWTON_MAX_ITER = 100
@@ -31,6 +33,7 @@ _ARMIJO = 1e-4
 _SHRINK = 0.5
 # predicted gains below this many ulps of |loglik| are lost in its round-off
 _FLAT_ULPS = 16.0
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,39 @@ class CmleFit:
     diagnostic: str | None = None
 
 
+def _validate_beta(beta, p: int) -> np.ndarray:
+    beta = np.asarray(beta, dtype=np.float64).reshape(-1)
+    if beta.shape != (p,):
+        raise ValueError(f"beta has length {beta.shape[0]}, expected {p}")
+    if not np.isfinite(beta).all():
+        raise ValueError("beta must be finite")
+    return beta
+
+
+def denominator_dp(slc: IndividualSlice, beta) -> tuple[float, np.ndarray]:
+    """Conditional-likelihood denominator and its gradient for one individual.
+
+    Computes sum over the alternative set of exp(sum_t d_t x_t'beta) and the
+    gradient of that sum, via the log-scaled recursion. At beta = 0 the value
+    is exactly C(T, k). Requires an informative slice and finite beta, and
+    raises ``ValueError`` when the value or its gradient overflows float64.
+    """
+    if not slc.informative:
+        raise ValueError("denominator_dp requires an informative slice")
+    beta = _validate_beta(beta, slc.p)
+    scores = slc.covariates @ beta
+    k = slc.choice_total
+    ld, mean = logdenom_batch(scores[None, :], slc.covariates[None], np.array([k]))
+    if ld[0] + math.log(max(1.0, float(np.abs(mean).max()))) > _LOG_FLOAT_MAX:
+        raise ValueError(f"denominator or its gradient overflows float64: log D = {ld[0]:.6g}")
+    if np.all(scores == scores[0]):
+        # equal scores: D = C(T,k) * exp(k * s); exact at beta = 0
+        value = float(math.comb(slc.T, k)) * math.exp(k * scores[0])
+    else:
+        value = math.exp(ld[0])
+    return value, value * mean[0]
+
+
 def conditional_loglik(data: PanelDataset, beta) -> float:
     """Log-likelihood of the outcome sequences given their choice totals.
 
@@ -70,50 +106,28 @@ def conditional_loglik(data: PanelDataset, beta) -> float:
     """
     beta = _validate_beta(beta, data.p)
     mask = data.informative_mask
-    if not mask.any():
-        return 0.0
     X = data.covariates[mask]
     Y = data.outcomes[mask].astype(np.float64)
     S = X @ beta
-    logden, _ = logdenom_batch(S, X, data.choice_totals[mask])
+    logden, = logdenom_batch(S, X, data.choice_totals[mask], order=0)
     return float(((Y * S).sum(axis=1) - logden).sum())
 
 
 def conditional_score_and_hessian(data: PanelDataset, beta):
     """Score vector and Hessian matrix of the conditional log-likelihood.
 
-    The score subtracts each individual's softmax-mean attribute vector
-    (from the recursion) from the observed one; the Hessian is minus the sum
-    of softmax covariances of attribute vectors, computed by enumeration,
-    which raises :class:`~felogit.errors.AlternativeSetTooLargeError` when
-    some C(T,k) exceeds 10**6.
+    One pass of the recursion over the informative individuals gives each
+    one's softmax mean and covariance of attribute vectors over its
+    alternative sequences. The score is the sum of observed minus mean
+    attribute vectors, the Hessian minus the sum of the covariances.
     """
     beta = _validate_beta(beta, data.p)
-    p = data.p
     mask = data.informative_mask
-    score = np.zeros(p)
-    hessian = np.zeros((p, p))
-    if not mask.any():
-        return score, hessian
-
-    sub_idx = np.flatnonzero(mask)
-    X = data.covariates[sub_idx]
-    Y = data.outcomes[sub_idx].astype(np.float64)
-    S = X @ beta
-    _, mean = logdenom_batch(S, X, data.choice_totals[sub_idx])
-    obs = np.einsum("it,itp->ip", Y, X)
-    score = (obs - mean).sum(axis=0)
-
-    for idx, _alts, attrs, _obs_index in attribute_batches(data):
-        e = attrs @ beta
-        e -= e.max(axis=1, keepdims=True)
-        w = np.exp(e)
-        w /= w.sum(axis=1, keepdims=True)
-        mu = np.einsum("ir,irp->ip", w, attrs)
-        second = np.einsum("ir,irp,irq->pq", w, attrs, attrs)
-        hessian -= second - np.einsum("ip,iq->pq", mu, mu)
-    hessian = 0.5 * (hessian + hessian.T)
-    return score, hessian
+    X = data.covariates[mask]
+    Y = data.outcomes[mask].astype(np.float64)
+    _, mean, cov = logdenom_batch(X @ beta, X, data.choice_totals[mask], order=2)
+    score = (np.einsum("it,itp->ip", Y, X) - mean).sum(axis=0)
+    return score, -cov.sum(axis=0)
 
 
 def _solve_spd(neg_hessian: np.ndarray, rhs: np.ndarray):
@@ -148,7 +162,12 @@ def fit(data: PanelDataset, force: bool = False, *,
     the full step is taken untested. Standard errors come from the inverse
     observed information at the estimate, where the last Newton iterate's
     score and Hessian are reused.
+
+    Raises ``ValueError`` unless ``tol`` (the existence check's QP tolerance)
+    is finite and > 0 and ``max_iter`` (the cap on Newton iterations) is an
+    integer >= 0.
     """
+    _check_options(tol, max_iter)
     gate = detect_panel_separation(data, tol=tol)
     if gate.status != STATUS_EXISTS and not force:
         if gate.status == STATUS_SEPARATED:

@@ -1,7 +1,8 @@
 """Independent oracles used to pin expected values in the tests.
 
 Everything here deliberately avoids the production code paths it is used to
-check: denominators come from explicit subset enumeration, derivatives from
+check: denominators and the softmax covariance of attribute vectors come
+from explicit subset enumeration, derivatives from
 central finite differences, separation verdicts from sign inspection or a
 direction grid or an exact LP feasibility problem, constraint sets and the
 rank at beta = 0 from enumerating every alternative.
@@ -50,6 +51,25 @@ def enum_log_denominator(covariates, outcomes, beta):
     ])
     m = sums.max()
     return float(m + np.log(np.exp(sums - m).sum()))
+
+
+def enum_softmax_covariance(covariates, outcomes, beta):
+    """Covariance of the attribute vector sum_t d_t x_t when the sequence d
+    with the observed choice total is drawn with probability proportional to
+    exp(sum_t d_t x_t'beta): minus the Hessian of the log denominator. Sums
+    w (a - mu)(a - mu)' over every sequence, so nothing cancels."""
+    covariates = np.asarray(covariates, dtype=np.float64)
+    outcomes = np.asarray(outcomes)
+    beta = np.asarray(beta, dtype=np.float64)
+    T = outcomes.shape[0]
+    k = int(outcomes.sum())
+    attrs = np.array([covariates[list(ones)].sum(axis=0)
+                      for ones in itertools.combinations(range(T), k)])
+    e = attrs @ beta
+    w = np.exp(e - e.max())
+    w /= w.sum()
+    centered = attrs - w @ attrs
+    return (w[:, None] * centered).T @ centered
 
 
 def central_diff_gradient(f, x, h=1e-6):

@@ -1,17 +1,13 @@
+"""The conditional-likelihood denominator over the alternative sequences:
+``denominator_dp`` and the recursion behind it, against enumeration."""
+
 import math
 
 import numpy as np
 import pytest
 
-from felogit import (
-    AlternativeSetTooLargeError,
-    IndividualSlice,
-    PanelDataset,
-    conditional_score_and_hessian,
-    denominator_dp,
-)
+from felogit import IndividualSlice, denominator_dp
 from felogit import _kernels
-from felogit.altsets import _alternatives, observed_row_index
 
 from oracles import central_diff_gradient, enum_denominator, enum_log_denominator, random_panel
 
@@ -22,19 +18,6 @@ def _log_denominator(slc, beta):
     scores = (slc.covariates @ beta)[None, :]
     logden, mean = _kernels.logdenom_batch(scores, slc.covariates[None], totals)
     return float(logden[0]), mean[0]
-
-
-def test_enumeration_guard():
-    # one T = 40, k = 20 individual is refused before anything is enumerated
-    y = np.zeros((1, 40), dtype=np.int8)
-    y[0, ::2] = 1
-    data = PanelDataset.from_arrays(np.arange(40.0).reshape(1, 40, 1), y)
-    with pytest.raises(AlternativeSetTooLargeError) as err:
-        conditional_score_and_hessian(data, np.zeros(1))
-    assert str(err.value) == (
-        "alternative set too large for the enumerated Hessian "
-        "(C(40,20) = 137846528820 > 1000000)"
-    )
 
 
 def test_difference_vectors_require_informative_slice():
@@ -102,20 +85,6 @@ def test_log_denominator_stable_for_large_scores():
         assert mean[i] == pytest.approx(slope, rel=1e-6, abs=1e-8)
 
 
-def test_softmax_weights_normalize():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        data = random_panel(rng, n=1, T=int(rng.integers(2, 9)))
-        slc = data.slice(0)
-        if not slc.informative:
-            continue
-        beta = rng.standard_normal(slc.p)
-        alts = _alternatives(slc.T, slc.choice_total)
-        exponents = alts @ (slc.covariates @ beta)
-        value, _ = denominator_dp(slc, beta)
-        assert np.exp(exponents).sum() / value == pytest.approx(1.0, rel=1e-12)
-
-
 def test_denominator_period_exchangeability():
     rng = np.random.default_rng(29)
     for _ in range(20):
@@ -176,16 +145,3 @@ def test_denominator_just_below_overflow_returns(x):
     assert value == pytest.approx(math.exp(log_value), rel=1e-12)
     np.testing.assert_allclose(grad, value * mean, rtol=1e-12)
 
-
-def test_observed_row_index_matches_enumeration():
-    for T in range(1, 8):
-        for k in range(0, T + 1):
-            alts = _alternatives(T, k)
-            assert not alts.flags.writeable
-            rows = [tuple(r) for r in alts.astype(int).tolist()]
-            # lexicographic, distinct, complete: every sequence with sum k once
-            assert rows == sorted(rows)
-            assert len(set(rows)) == len(rows) == math.comb(T, k)
-            assert all(sum(r) == k for r in rows)
-            for j, row in enumerate(alts):
-                assert observed_row_index(row) == j

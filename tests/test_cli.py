@@ -102,14 +102,12 @@ def test_check_long_panel_is_decided(capsys, tmp_path):
     code, out, err = run_cli(capsys, "check", path, "--output", "json")
     assert code == 0, err
     assert json.loads(out)["existence"]["status"] == "exists_unique"
-    # fit enumerates alternatives for its Hessian and refuses, without a traceback
+    # the Hessian comes from the recursion, so fit has no limit on C(T, k)
     code, out, err = run_cli(capsys, "fit", path, "--output", "json")
-    assert code == 1
-    assert out == ""
-    assert err == (
-        "felogit: error: alternative set too large for the enumerated Hessian "
-        "(C(30,15) = 155117520 > 1000000)\n"
-    )
+    assert code == 0, err
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["fit"]["converged"] is True
 
 
 def test_seed_is_a_simulate_option_only(capsys, fixture_path):

@@ -12,11 +12,19 @@ from felogit import (
     STATUS_SEPARATED,
     conditional_loglik,
     conditional_score_and_hessian,
+    detect_panel_separation,
+    detect_pooled_separation,
     fit,
     informative_subset,
 )
+from felogit import _kernels
 
-from oracles import central_diff_gradient, central_diff_jacobian, random_panel
+from oracles import (
+    central_diff_gradient,
+    central_diff_jacobian,
+    enum_softmax_covariance,
+    random_panel,
+)
 
 
 def _panel(x_rows, y_rows):
@@ -283,3 +291,99 @@ def test_capped_fit_reports_score_and_errors_at_its_estimate(max_iter):
     assert result.gradient_norm == float(np.abs(score).max())
     expected = np.sqrt(np.diag(np.linalg.inv(-hessian)))
     np.testing.assert_allclose(result.std_errors, expected, rtol=1e-12, atol=0.0)
+
+
+def _assert_hessian_matches_oracle(x, y, beta):
+    data = PanelDataset.from_arrays(x[None], y[None])
+    _, hessian = conditional_score_and_hessian(data, beta)
+    expected = -enum_softmax_covariance(x, y, beta)
+    assert np.array_equal(hessian, hessian.T)
+    assert np.abs(hessian - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+def test_hessian_matches_enumerated_softmax_covariance():
+    rng = np.random.default_rng(137)
+    for T in range(2, 13):
+        for k in range(1, T):
+            p = int(rng.integers(1, 4))
+            x = rng.standard_normal((T, p))
+            y = np.zeros(T, dtype=np.int8)
+            y[rng.permutation(T)[:k]] = 1
+            beta = rng.standard_normal(p)
+            _assert_hessian_matches_oracle(x, y, beta)
+            _assert_hessian_matches_oracle(x, y, np.zeros(p))
+            # the same scores at extreme covariate scales
+            _assert_hessian_matches_oracle(1e6 * x, y, 1e-6 * beta)
+            _assert_hessian_matches_oracle(1e-6 * x, y, 1e6 * beta)
+            # equal scores with varying covariates: x1 + x2 = 3 in every
+            # period, exact in floating point, so the closed form applies
+            z = rng.integers(-5, 6, size=T).astype(np.float64)
+            x_eq = np.column_stack([z, 3.0 - z])
+            beta_eq = np.array([0.5, 0.5])
+            assert np.all(x_eq @ beta_eq == 1.5)
+            if np.ptp(z) > 0:
+                _assert_hessian_matches_oracle(x_eq, y, beta_eq)
+
+
+@pytest.mark.parametrize("budget", [1, 500])
+def test_hessian_is_bitwise_equal_in_chunks(monkeypatch, budget):
+    # a budget of 1 cell forces one-row chunks; 500 cells gives chunks of a
+    # few rows (each row holds (k_max + 1) * p**2 cells of the covariance)
+    rng = np.random.default_rng(139)
+    x = rng.standard_normal((60, 9, 3))
+    x[:5] = x[:5, :1]  # constant covariates: equal scores at every beta
+    y = (rng.random((60, 9)) < rng.random((60, 1))).astype(np.int8)
+    data = PanelDataset.from_arrays(x, y)
+    beta = rng.standard_normal(3)
+    whole = conditional_score_and_hessian(data, beta), conditional_loglik(data, beta)
+
+    calls = []
+    recursion = _kernels._recursion
+
+    def counted(S, *args):
+        calls.append(S.shape[0])
+        return recursion(S, *args)
+
+    monkeypatch.setattr(_kernels, "_BATCH_CELL_BUDGET", budget)
+    monkeypatch.setattr(_kernels, "_recursion", counted)
+    chunked = conditional_score_and_hessian(data, beta), conditional_loglik(data, beta)
+    recursed = data.informative_mask[5:].sum()  # rows outside every closed form
+    # every such row once for the moments and once for log D, in chunks
+    assert sum(calls) == 2 * recursed
+    assert (max(calls) == 1) if budget == 1 else (max(calls) > 1 and len(calls) > 2)
+    for a, b in zip(whole[0], chunked[0]):
+        assert np.array_equal(a, b)
+    assert whole[1] == chunked[1]
+
+
+def test_fit_converges_on_a_T40_k20_panel():
+    # C(40, 20) ~ 1.4e11 alternative sequences per individual
+    rng = np.random.default_rng(149)
+    x = rng.standard_normal((6, 40, 2))
+    y = np.zeros((6, 40), dtype=np.int8)
+    for row in y:
+        row[rng.permutation(40)[:20]] = 1
+    data = PanelDataset.from_arrays(x, y)
+    result = fit(data)
+    assert result.gate.status == STATUS_EXISTS
+    assert result.converged
+    assert result.gradient_norm <= 1e-8
+    assert result.iterations < 20
+    _, hessian = conditional_score_and_hessian(data, result.beta_hat)
+    fd = central_diff_jacobian(
+        lambda b: conditional_score_and_hessian(data, b)[0], result.beta_hat
+    )
+    assert np.abs(hessian - fd).max() / np.abs(fd).max() < 1e-6
+
+
+@pytest.mark.parametrize("options", [
+    {"tol": float("inf")}, {"tol": float("nan")}, {"tol": 0.0}, {"tol": -1e-8},
+    {"max_iter": -1}, {"max_iter": 2.5}, {"max_iter": True},
+])
+@pytest.mark.parametrize("call", [fit, detect_panel_separation, detect_pooled_separation])
+def test_api_rejects_invalid_tol_or_max_iter(fixture_panel, call, options):
+    # fit(..., tol=inf) used to pass the separated panel as existing and
+    # return a "converged" beta_hat of 270.93
+    name = next(iter(options))
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call(fixture_panel, **options)

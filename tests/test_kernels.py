@@ -19,6 +19,22 @@ def test_logdenom_deterministic():
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
+def test_logdenom_orders_return_the_same_bits():
+    rng = np.random.default_rng(109)
+    scores, covariates, totals = _random_batch(rng)
+    scores[:6] = 0.25  # equal-score rows take the closed form
+    full = _kernels.logdenom_batch(scores, covariates, totals, order=2)
+    assert len(full) == 3
+    for order in (0, 1):
+        part = _kernels.logdenom_batch(scores, covariates, totals, order=order)
+        assert len(part) == order + 1
+        for a, b in zip(part, full):
+            assert np.array_equal(a, b)
+    # one sequence (k = 0 or k = T): no spread
+    ends = (totals == 0) | (totals == scores.shape[1])
+    assert ends.any() and not full[2][ends].any()
+
+
 def test_qp_flags():
     # opposite unit vectors cancel at lam = 1: zero minimum before any step
     w = np.array([[1.0], [-1.0]])
