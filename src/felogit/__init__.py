@@ -7,7 +7,8 @@ the within-individual covariate variation plus a quadratic-programming
 separation test on single-swap attribute differences) and
 only then runs the Newton fit, whose value, score and Hessian come from a
 recursion over the periods instead of an enumeration of the C(T, k)
-alternative sequences. A pooled cross-sectional separation check and a
+alternative sequences (only sets small enough for enumeration to be faster
+are enumerated). A pooled cross-sectional separation check and a
 simulation experiment are included, along with the ``felogit`` CLI.
 """
 

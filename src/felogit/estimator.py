@@ -1,11 +1,13 @@
 """Conditional maximum likelihood estimation, gated by the existence check.
 
 The conditional log-likelihood is globally concave, so a damped Newton
-iteration from beta = 0 converges whenever a finite maximizer exists. Value,
-score and Hessian all come from the denominator recursion in
-:mod:`felogit._kernels`, which carries log D, the softmax mean and the
-softmax covariance of the attribute vectors over each individual's
-alternative sequences without enumerating them, so no C(T, k) is too large.
+iteration from beta = 0 converges whenever a finite maximizer exists. The
+value comes from the denominator recursion in :mod:`felogit._kernels`. Score
+and Hessian need the softmax mean and covariance of the attribute vectors
+over each individual's alternative sequences: the small alternative sets
+that :mod:`felogit.altsets` enumerates faster take them from the
+enumeration, every other set from the same recursion, which carries them
+next to log D without enumerating, so no C(T, k) is too large.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import logdenom_batch
+from .altsets import attribute_batches
 from .detector import (
     STATUS_EXISTS,
     STATUS_SEPARATED,
@@ -116,18 +119,43 @@ def conditional_loglik(data: PanelDataset, beta) -> float:
 def conditional_score_and_hessian(data: PanelDataset, beta):
     """Score vector and Hessian matrix of the conditional log-likelihood.
 
-    One pass of the recursion over the informative individuals gives each
-    one's softmax mean and covariance of attribute vectors over its
-    alternative sequences. The score is the sum of observed minus mean
-    attribute vectors, the Hessian minus the sum of the covariances.
+    Each informative individual contributes the softmax mean and covariance
+    of its attribute vectors over its alternative sequences: enumerated for
+    the small sets of :func:`~felogit.altsets.attribute_batches`, from one
+    pass of the recursion for the others. The score is the sum of observed
+    minus mean attribute vectors, the Hessian minus the sum of the
+    covariances.
     """
     beta = _validate_beta(beta, data.p)
-    mask = data.informative_mask
-    X = data.covariates[mask]
-    Y = data.outcomes[mask].astype(np.float64)
-    _, mean, cov = logdenom_batch(X @ beta, X, data.choice_totals[mask], order=2)
-    score = (np.einsum("it,itp->ip", Y, X) - mean).sum(axis=0)
-    return score, -cov.sum(axis=0)
+    n, p = data.n, data.p
+    scores = data.covariates @ beta
+    gap = np.zeros((n, p))  # softmax mean minus observed attribute vector
+    cov = np.zeros((n, p, p))
+    rest = data.informative_mask.copy()
+    for idx, alts, attrs, obs_index in attribute_batches(data):
+        alt_scores = np.einsum("it,rt->ir", scores[idx], alts)  # the same bits in any chunk
+        gap[idx], cov[idx] = _enumerated_moments(alt_scores, attrs, obs_index)
+        rest[idx] = False
+    X = data.covariates[rest]
+    _, mean, cov[rest] = logdenom_batch(scores[rest], X, data.choice_totals[rest], order=2)
+    gap[rest] = mean - np.einsum("it,itp->ip", data.outcomes[rest].astype(np.float64), X)
+    return -gap.sum(axis=0), -cov.sum(axis=0)
+
+
+def _enumerated_moments(alt_scores: np.ndarray, attrs: np.ndarray, obs_index: np.ndarray):
+    """Softmax mean minus the observed attribute vector, and covariance.
+
+    ``alt_scores`` (m, r) and ``attrs`` (m, r, p) hold each alternative's
+    score and attribute vector, ``obs_index`` (m,) the observed one. The
+    covariance sums w (a - mu)(a - mu)', so nothing cancels, formed from
+    sqrt(w) (a - mu) so that it comes out exactly symmetric.
+    """
+    w = np.exp(alt_scores - alt_scores.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    diff = attrs - attrs[np.arange(attrs.shape[0]), obs_index][:, None, :]
+    gap = np.einsum("ir,irp->ip", w, diff)
+    dev = np.sqrt(w)[:, :, None] * (diff - gap[:, None, :])
+    return gap, np.einsum("irp,irq->ipq", dev, dev)
 
 
 def _solve_spd(neg_hessian: np.ndarray, rhs: np.ndarray):

@@ -1,13 +1,15 @@
 """The conditional-likelihood denominator over the alternative sequences:
-``denominator_dp`` and the recursion behind it, against enumeration."""
+``denominator_dp`` and the recursion behind it, against enumeration, and
+the enumerated small alternative sets of ``felogit.altsets``."""
 
 import math
 
 import numpy as np
 import pytest
 
-from felogit import IndividualSlice, denominator_dp
+from felogit import IndividualSlice, PanelDataset, denominator_dp
 from felogit import _kernels
+from felogit.altsets import _alternatives, attribute_batches, enumerable, observed_row_index
 
 from oracles import central_diff_gradient, enum_denominator, enum_log_denominator, random_panel
 
@@ -85,6 +87,20 @@ def test_log_denominator_stable_for_large_scores():
         assert mean[i] == pytest.approx(slope, rel=1e-6, abs=1e-8)
 
 
+def test_softmax_weights_normalize():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        data = random_panel(rng, n=1, T=int(rng.integers(2, 9)))
+        slc = data.slice(0)
+        if not slc.informative:
+            continue
+        beta = rng.standard_normal(slc.p)
+        alts = _alternatives(slc.T, slc.choice_total)
+        exponents = alts @ (slc.covariates @ beta)
+        value, _ = denominator_dp(slc, beta)
+        assert np.exp(exponents).sum() / value == pytest.approx(1.0, rel=1e-12)
+
+
 def test_denominator_period_exchangeability():
     rng = np.random.default_rng(29)
     for _ in range(20):
@@ -145,3 +161,48 @@ def test_denominator_just_below_overflow_returns(x):
     assert value == pytest.approx(math.exp(log_value), rel=1e-12)
     np.testing.assert_allclose(grad, value * mean, rtol=1e-12)
 
+
+
+def test_observed_row_index_matches_enumeration():
+    for T in range(1, 8):
+        for k in range(0, T + 1):
+            alts = _alternatives(T, k)
+            assert not alts.flags.writeable
+            rows = [tuple(r) for r in alts.astype(int).tolist()]
+            # lexicographic, distinct, complete: every sequence with sum k once
+            assert rows == sorted(rows)
+            assert len(set(rows)) == len(rows) == math.comb(T, k)
+            assert all(sum(r) == k for r in rows)
+            for j, row in enumerate(alts):
+                assert observed_row_index(row) == j
+            # one call indexes a whole (n, T) block the same way
+            assert observed_row_index(alts).tolist() == list(range(len(rows)))
+
+
+def test_observed_row_index_is_exact_beyond_int64():
+    # C(70, 35) > 2**63: the last of the C(70, 35) sequences
+    y = np.array([1] * 35 + [0] * 35)
+    assert observed_row_index(y) == math.comb(70, 35) - 1
+    assert observed_row_index(y[None]).tolist() == [math.comb(70, 35) - 1]
+
+
+def test_attribute_batches_cover_the_enumerable_sets():
+    rng = np.random.default_rng(41)
+    for T, p in ((3, 1), (5, 2), (9, 3), (14, 3)):
+        x = rng.standard_normal((80, T, p))
+        y = (rng.random((80, T)) < rng.random((80, 1))).astype(np.int8)
+        data = PanelDataset.from_arrays(x, y)
+        seen = []
+        for idx, alts, attrs, obs_index in attribute_batches(data):
+            k = int(data.choice_totals[idx[0]])
+            assert enumerable(T, k, p) and (data.choice_totals[idx] == k).all()
+            np.testing.assert_array_equal(alts, _alternatives(T, k))
+            # attribute vectors from period differences: the same shift k x_1 in each
+            shifted = np.einsum("rt,itp->irp", alts, x[idx]) - k * x[idx, :1]
+            np.testing.assert_allclose(attrs, shifted, rtol=0.0, atol=1e-13)
+            np.testing.assert_array_equal(alts[obs_index], y[idx])
+            seen.extend(idx.tolist())
+        expected = [i for i in range(80)
+                    if data.informative_mask[i] and enumerable(T, int(data.choice_totals[i]), p)]
+        assert sorted(seen) == expected
+        assert 0 < len(seen) and (T > 5 or len(seen) == data.informative_mask.sum())

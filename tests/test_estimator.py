@@ -18,6 +18,7 @@ from felogit import (
     informative_subset,
 )
 from felogit import _kernels
+from felogit.altsets import attribute_batches
 
 from oracles import (
     central_diff_gradient,
@@ -297,8 +298,11 @@ def _assert_hessian_matches_oracle(x, y, beta):
     data = PanelDataset.from_arrays(x[None], y[None])
     _, hessian = conditional_score_and_hessian(data, beta)
     expected = -enum_softmax_covariance(x, y, beta)
-    assert np.array_equal(hessian, hessian.T)
-    assert np.abs(hessian - expected).max() <= 1e-10 * np.abs(expected).max()
+    # the recursion on its own too, since small sets are enumerated instead
+    _, _, cov = _kernels.logdenom_batch((x @ beta)[None], x[None], np.array([y.sum()]), order=2)
+    for h in (hessian, -cov[0]):
+        assert np.array_equal(h, h.T)
+        assert np.abs(h - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 def test_hessian_matches_enumerated_softmax_covariance():
@@ -344,13 +348,25 @@ def test_hessian_is_bitwise_equal_in_chunks(monkeypatch, budget):
         calls.append(S.shape[0])
         return recursion(S, *args)
 
+    batches = []
+
+    def listed(data):
+        for batch in attribute_batches(data):
+            batches.append(batch[0])
+            yield batch
+
     monkeypatch.setattr(_kernels, "_BATCH_CELL_BUDGET", budget)
     monkeypatch.setattr(_kernels, "_recursion", counted)
+    monkeypatch.setattr(estimator, "attribute_batches", listed)
     chunked = conditional_score_and_hessian(data, beta), conditional_loglik(data, beta)
-    recursed = data.informative_mask[5:].sum()  # rows outside every closed form
-    # every such row once for the moments and once for log D, in chunks
-    assert sum(calls) == 2 * recursed
-    assert (max(calls) == 1) if budget == 1 else (max(calls) > 1 and len(calls) > 2)
+    outside = data.informative_mask & (np.arange(data.n) >= 5)  # outside every closed form
+    enumerated = np.zeros(data.n, dtype=bool)
+    enumerated[np.concatenate(batches)] = True
+    assert (outside & enumerated).any() and (outside & ~enumerated).any()
+    # log D recurses every such row, the moments those not enumerated, in chunks
+    assert sum(calls) == outside.sum() + (outside & ~enumerated).sum()
+    for sizes in (calls, [b.size for b in batches]):
+        assert (max(sizes) == 1) if budget == 1 else (max(sizes) > 1 and len(sizes) > 2)
     for a, b in zip(whole[0], chunked[0]):
         assert np.array_equal(a, b)
     assert whole[1] == chunked[1]
