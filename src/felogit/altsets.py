@@ -1,10 +1,14 @@
-"""Enumerated alternative sets for the Hessian, and the denominator recursion.
+"""Enumerated alternative sets, for the individuals whose set is small.
 
 For an individual with T periods and choice total k, the alternative set is
-every binary sequence of length T summing to k. Sequences are enumerated in
-lexicographic order so that indexing is deterministic. Only the Hessian
-enumerates, and only up to C(T,k) <= 10**6; the likelihood denominator never
-needs enumeration thanks to the recursion in :mod:`felogit._kernels`.
+every binary sequence of length T summing to k, in lexicographic order. The
+softmax moments over that set cost about C(T, k) (T + p) operations when
+the set is enumerated, against T k p^2 for the denominator recursion in
+:mod:`felogit._kernels`, which also pays a Python-level step per (t, m).
+Measured with numpy, enumeration is the faster of the two up to
+C(T, k) (T + p) <= 8 T k p, so the estimator enumerates those sets (every
+set at T <= 5; k in {1, 12, 13} at T = 14, p = 3) and leaves the rest, of
+any size, to the recursion.
 """
 
 from __future__ import annotations
@@ -15,114 +19,90 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import logdenom_batch
-from .errors import AlternativeSetTooLargeError
-from .panel import IndividualSlice, PanelDataset
+from . import _kernels
+from .panel import PanelDataset
 
-_MAX_ALTERNATIVES = 1_000_000
-_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
+_ENUMERATION_ADVANTAGE = 8
 
 
-@lru_cache(maxsize=256)
+def enumerable(T: int, k: int, p: int) -> bool:
+    """Whether the softmax moments of the (T, k) set are cheaper enumerated."""
+    return 0 < k < T and math.comb(T, k) * (T + p) <= _ENUMERATION_ADVANTAGE * T * k * p
+
+
+@lru_cache(maxsize=32)
 def _alternatives(T: int, k: int) -> np.ndarray:
     """All {0,1}^T rows with sum k, lexicographically ordered, as a read-only
-    float (C(T,k), T) array."""
+    float (C(T,k), T) array. Callers ask only for small sets."""
     size = math.comb(T, k)
-    if size > _MAX_ALTERNATIVES:
-        raise AlternativeSetTooLargeError(
-            f"alternative set too large for the enumerated Hessian "
-            f"(C({T},{k}) = {size} > {_MAX_ALTERNATIVES})"
-        )
     # position tuples in ascending order correspond to vectors in descending
     # lexicographic order, so fill the rows back to front
     out = np.zeros((size, T))
     for j, ones in enumerate(itertools.combinations(range(T), k)):
-        for t in ones:
-            out[size - 1 - j, t] = 1.0
+        out[size - 1 - j, list(ones)] = 1.0
     out.setflags(write=False)
     return out
 
 
-def denominator_dp(slc: IndividualSlice, beta) -> tuple[float, np.ndarray]:
-    """Conditional-likelihood denominator and its gradient for one individual.
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
-    Computes sum over the alternative set of exp(sum_t d_t x_t'beta) and the
-    gradient of that sum, via the log-scaled recursion. At beta = 0 the value
-    is exactly C(T, k). Requires an informative slice and finite beta, and
-    raises ``ValueError`` when the value or its gradient overflows float64.
+
+@lru_cache(maxsize=32)
+def _pascal(T: int) -> np.ndarray:
+    """C(a, b) for 0 <= a < T and 0 <= b <= T, as int64, capped at its maximum.
+
+    A capped entry is never a term of a position, because each term is at
+    most the position, below C(T, k), and callers ask only for sets small
+    enough to enumerate (k = 1 at T = 100, say, whose table holds C(99, 49)).
     """
-    if not slc.informative:
-        raise ValueError("denominator_dp requires an informative slice")
-    beta = _validate_beta(beta, slc.p)
-    scores = slc.covariates @ beta
-    k = slc.choice_total
-    ld, mean = logdenom_batch(scores[None, :], slc.covariates[None], np.array([k]))
-    if ld[0] + math.log(max(1.0, float(np.abs(mean).max()))) > _LOG_FLOAT_MAX:
-        raise ValueError(f"denominator or its gradient overflows float64: log D = {ld[0]:.6g}")
-    if np.all(scores == scores[0]):
-        # equal scores: D = C(T,k) * exp(k * s); exact at beta = 0
-        value = float(math.comb(slc.T, k)) * math.exp(k * scores[0])
-    else:
-        value = math.exp(ld[0])
-    return value, value * mean[0]
+    return np.array([[min(math.comb(a, b), _INT64_MAX) for b in range(T + 1)]
+                     for a in range(T)], dtype=np.int64)
 
 
-def _validate_beta(beta, p: int) -> np.ndarray:
-    beta = np.asarray(beta, dtype=np.float64).reshape(-1)
-    if beta.shape != (p,):
-        raise ValueError(f"beta has length {beta.shape[0]}, expected {p}")
-    if not np.isfinite(beta).all():
-        raise ValueError("beta must be finite")
-    return beta
-
-
-def observed_row_index(outcomes) -> int:
+def observed_row_index(outcomes):
     """Position of the observed sequence inside its lexicographic alternative set.
 
-    Computed combinatorially (no enumeration): the lexicographic rank of the
-    one-positions among ascending combinations, reflected because ascending
-    position tuples map to descending vectors.
+    ``outcomes`` is one 0/1 sequence of length T or an (n, T) array of them,
+    one position per row. Computed combinatorially, without enumeration: the
+    position is the number of sequences with the same total that are
+    lexicographically smaller, which is the sum over the periods t with
+    y_t = 1 of C(T - 1 - t, number of ones at t or later).
     """
-    y = np.asarray(outcomes)
-    T = y.shape[0]
-    ones = np.flatnonzero(y)
-    k = ones.shape[0]
-    rank = 0
-    prev = -1
-    for i, pos in enumerate(ones):
-        for v in range(prev + 1, int(pos)):
-            rank += math.comb(T - 1 - v, k - 1 - i)
-        prev = int(pos)
-    return math.comb(T, k) - 1 - rank
-
-
-_BATCH_CELL_BUDGET = 4_000_000  # cap on r * chunk rows held in memory at once
+    y = np.asarray(outcomes) != 0
+    T = y.shape[-1]
+    later = np.cumsum(y[..., ::-1], axis=-1)[..., ::-1]
+    terms = np.where(y, _pascal(T)[T - 1 - np.arange(T), later], 0)
+    return terms.sum(axis=-1)
 
 
 def attribute_batches(data: PanelDataset):
-    """Group informative individuals by choice total and enumerate once per group.
+    """Enumerate the small alternative sets, grouped by choice total.
 
-    Yields tuples ``(indices, alts, attrs, obs_index)`` where ``indices`` are
-    row positions into ``data``, ``alts`` is the (r, T) alternative matrix for
-    that choice total, ``attrs`` the (nk, r, p) per-alternative attribute
-    vectors, and ``obs_index`` the (nk,) position of each observed sequence
-    inside ``alts``. Groups with large alternative sets are split into chunks
-    so the attribute block stays within a fixed memory budget. Raises
-    :class:`~felogit.errors.AlternativeSetTooLargeError` above 10**6
-    alternatives.
+    Covers the informative individuals whose choice total is
+    :func:`enumerable`. Yields tuples ``(indices, alts, attrs, obs_index)``
+    where ``indices`` are row positions into ``data``, ``alts`` is the
+    (r, T) alternative matrix for that choice total, ``attrs`` the (nk, r, p)
+    per-alternative attribute vectors, and ``obs_index`` the (nk,) position
+    of each observed sequence inside ``alts``. The attribute vectors are
+    sum_t d_t (x_t - x_1), from period differences: the shift k x_1 is the
+    same for every alternative, so no difference between alternatives
+    changes, and a covariate constant over time comes out exactly zero.
+    Groups are split into chunks whose attribute block holds at most
+    ``_kernels._BATCH_CELL_BUDGET`` cells.
     """
     totals = data.choice_totals
     mask = data.informative_mask
-    T = data.T
+    T, p = data.T, data.p
     for kval in np.unique(totals[mask]):
         kval = int(kval)
+        if not enumerable(T, kval, p):
+            continue
         alts = _alternatives(T, kval)
         idx = np.flatnonzero(mask & (totals == kval))
-        chunk = max(1, _BATCH_CELL_BUDGET // alts.shape[0])
+        chunk = max(1, _kernels._BATCH_CELL_BUDGET // (alts.shape[0] * p))
         for start in range(0, idx.shape[0], chunk):
             part = idx[start:start + chunk]
-            attrs = np.einsum("rt,itp->irp", alts, data.covariates[part])
-            obs_index = np.array(
-                [observed_row_index(data.outcomes[i]) for i in part], dtype=np.int64
-            )
+            X = data.covariates[part]
+            attrs = np.einsum("rt,itp->irp", alts, X - X[:, :1])
+            obs_index = observed_row_index(data.outcomes[part])
             yield part, alts, attrs, obs_index

@@ -13,6 +13,7 @@ next to log D without enumerating, so no C(T, k) is too large.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,6 @@ from .detector import (
     STATUS_SEPARATED,
     DEFAULT_QP_TOL,
     ExistenceReport,
-    _check_options,
     detect_panel_separation,
 )
 from .errors import NonexistenceError
@@ -195,7 +195,8 @@ def fit(data: PanelDataset, force: bool = False, *,
     is finite and > 0 and ``max_iter`` (the cap on Newton iterations) is an
     integer >= 0.
     """
-    _check_options(tol, max_iter)
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     gate = detect_panel_separation(data, tol=tol)
     if gate.status != STATUS_EXISTS and not force:
         if gate.status == STATUS_SEPARATED:

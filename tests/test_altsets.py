@@ -162,7 +162,6 @@ def test_denominator_just_below_overflow_returns(x):
     np.testing.assert_allclose(grad, value * mean, rtol=1e-12)
 
 
-
 def test_observed_row_index_matches_enumeration():
     for T in range(1, 8):
         for k in range(0, T + 1):
@@ -179,11 +178,13 @@ def test_observed_row_index_matches_enumeration():
             assert observed_row_index(alts).tolist() == list(range(len(rows)))
 
 
-def test_observed_row_index_is_exact_beyond_int64():
-    # C(70, 35) > 2**63: the last of the C(70, 35) sequences
-    y = np.array([1] * 35 + [0] * 35)
-    assert observed_row_index(y) == math.comb(70, 35) - 1
-    assert observed_row_index(y[None]).tolist() == [math.comb(70, 35) - 1]
+def test_observed_row_index_of_a_small_set_in_a_long_panel():
+    # k = 1 and k = T - 1 at T = 100 are enumerable once p is large enough,
+    # although the Pascal table at T = 100 holds entries beyond int64
+    T = 100
+    assert enumerable(T, 1, 20) and enumerable(T, T - 1, 20)
+    assert observed_row_index(np.eye(T)[::-1]).tolist() == list(range(T))
+    assert observed_row_index(1 - np.eye(T)).tolist() == list(range(T))
 
 
 def test_attribute_batches_cover_the_enumerable_sets():
