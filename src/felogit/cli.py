@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -354,7 +353,7 @@ def _checked(convert, valid, requirement: str):
     return parse
 
 
-_tolerance = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "a finite number > 0")
+_tolerance = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 _iteration_cap = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 

@@ -115,11 +115,14 @@ def _dedup_nonzero(rows: np.ndarray) -> QpProblem:
 
     Merging duplicates is not just a speed-up: every row carries a weight
     lam >= 1, so a repeated row would change the QP minimum and, for p >= 2,
-    the direction (never the verdict), e.g. for a copied individual.
+    the direction (never the verdict), e.g. for a copied individual. The rows
+    come out in lexicographic order, from one lexsort and a comparison of
+    neighbours.
     """
     rows = rows[np.linalg.norm(rows, axis=1) > 0.0]
     if rows.size:
-        rows = np.unique(rows, axis=0)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
     return QpProblem(vectors=rows, normalized=rows / np.linalg.norm(rows, axis=1)[:, None])
 
 
@@ -204,10 +207,15 @@ def rank_check(data: PanelDataset) -> RankCheckResult:
 
 
 def _check_options(tol, max_iter) -> None:
-    """Raise ``ValueError`` unless ``tol`` is a finite number > 0 and
-    ``max_iter`` an integer >= 0."""
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    """Raise ``ValueError`` unless ``tol`` is a number in (0, 1) and
+    ``max_iter`` an integer >= 0.
+
+    The rows are unit vectors and every weight is at least 1, so a panel
+    separated by a single swap has a QP minimum of exactly 1: a tolerance of
+    1 or more would pass it as existing.
+    """
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < 1.0):
+        raise ValueError(f"tol must be a number in (0, 1), got {tol!r}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
 
@@ -253,7 +261,7 @@ def detect_panel_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
     ``max_iter`` caps the solver's active-set steps. The rank condition is
     decided as well and, when it fails, overrides the QP verdict with
     ``rank_deficient``. Deterministic given inputs. Raises ``ValueError``
-    unless ``tol`` is finite and > 0 and ``max_iter`` an integer >= 0.
+    unless ``tol`` is in (0, 1) and ``max_iter`` an integer >= 0.
     """
     _check_options(tol, max_iter)
     sub, dropped = informative_subset(data)

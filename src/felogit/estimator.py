@@ -192,7 +192,7 @@ def fit(data: PanelDataset, force: bool = False, *,
     score and Hessian are reused.
 
     Raises ``ValueError`` unless ``tol`` (the existence check's QP tolerance)
-    is finite and > 0 and ``max_iter`` (the cap on Newton iterations) is an
+    is in (0, 1) and ``max_iter`` (the cap on Newton iterations) is an
     integer >= 0.
     """
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:

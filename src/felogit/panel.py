@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,7 +158,67 @@ def load_csv(path) -> PanelDataset:
     of rows and no duplicated ``(id, t)`` pair. A leading UTF-8 byte-order
     mark is ignored. Raises :class:`~felogit.errors.PanelDataError` with a
     row/column location on parse failures.
+
+    A clean file is parsed in one vectorized pass. A file with any fault, or
+    with a cell only Python's own number syntax accepts (a quoted cell, a
+    whitespace-only line, ``1_000``, non-ASCII digits), is re-read row by row,
+    which either builds the same panel or names the faulty row and column.
     """
+    path = Path(path)
+    data = _load_bulk(path)
+    return data if data is not None else _load_rows(path)
+
+
+def _expected_header(p: int) -> list[str]:
+    return ["id", "t", "y"] + [f"x{j}" for j in range(1, p + 1)]
+
+
+def _load_bulk(path: Path) -> PanelDataset | None:
+    """The panel in ``path`` from one ``np.loadtxt`` pass, or None.
+
+    Every check of :func:`_load_rows` is made on the arrays; None means one
+    of them failed (or ``loadtxt`` raised or warned) and the row-wise reader
+    has to decide the file. Warnings are errors here: numpy < 2 parses ``1.0``
+    as an int64 with only a ``DeprecationWarning``, which the row-wise reader
+    rejects. ``comments=None`` keeps ``0.5 # note`` a bad cell.
+    """
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        header = [c.strip() for c in next(csv.reader(fh), [])]
+        p = len(header) - 3
+        if p < 1 or header != _expected_header(p):
+            return None
+        dtype = [("id", np.int64), ("t", np.int64), ("v", np.float64, (p + 1,))]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    if rows.size == 0 or not np.isfinite(rows["v"]).all():
+        return None
+    order = np.lexsort((rows["t"], rows["id"]))
+    ident, t, v = rows["id"][order], rows["t"][order], rows["v"][order]
+    y = v[:, 0]
+    if not ((y == 0.0) | (y == 1.0)).all():
+        return None
+    same_id = ident[1:] == ident[:-1]
+    if (same_id & (t[1:] == t[:-1])).any():
+        return None
+    starts = np.flatnonzero(np.r_[True, ~same_id])
+    counts = np.diff(np.r_[starts, len(ident)])
+    if (counts != counts[0]).any():
+        return None
+    shape = (len(starts), int(counts[0]))
+    return PanelDataset(
+        ids=ident[starts],
+        periods=t.reshape(shape),
+        covariates=v[:, 1:].reshape(*shape, p),
+        outcomes=y.astype(np.int8).reshape(shape),
+    )
+
+
+def _load_rows(path: Path) -> PanelDataset:
+    """:func:`load_csv` one row at a time, with a located message on the first fault."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -167,8 +228,7 @@ def load_csv(path) -> PanelDataset:
             raise PanelDataError(f"{path}: empty file") from None
         header = [c.strip() for c in header]
         p = len(header) - 3
-        expected = ["id", "t", "y"] + [f"x{j}" for j in range(1, p + 1)]
-        if p < 1 or header != expected:
+        if p < 1 or header != _expected_header(p):
             raise PanelDataError(
                 f"{path}: malformed header {header!r}; expected id,t,y,x1,...,xp"
             )

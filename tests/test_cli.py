@@ -250,6 +250,13 @@ SIM_ARGS = ("simulate", "--n", "10", "--T", "4", "--p", "2", "--beta0", "2,-1")
     ("check", "FIXTURE", "--tol", "-1"),
     ("pooled-check", "FIXTURE", "--tol", "0"),
     SIM_ARGS + ("--tol", "nan"),
+    # a one-swap separated panel has a QP minimum of exactly 1
+    ("check", "FIXTURE", "--tol", "1"),
+    ("check", "FIXTURE", "--tol", "1000"),
+    ("fit", "FIXTURE", "--tol", "1"),
+    ("fit", "FIXTURE", "--force", "--tol", "1000"),
+    SIM_ARGS + ("--tol", "1"),
+    SIM_ARGS + ("--tol", "1000"),
     ("fit", "FIXTURE", "--max-iter", "-3"),
     ("check", "FIXTURE", "--max-iter", "-1"),
 ], ids=" ".join)

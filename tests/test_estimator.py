@@ -394,7 +394,7 @@ def test_fit_converges_on_a_T40_k20_panel():
 
 @pytest.mark.parametrize("options", [
     {"tol": float("inf")}, {"tol": float("nan")}, {"tol": 0.0}, {"tol": -1e-8},
-    {"max_iter": -1}, {"max_iter": 2.5}, {"max_iter": True},
+    {"max_iter": -1}, {"max_iter": 2.5}, {"max_iter": True}, {"tol": 1.0},
 ])
 @pytest.mark.parametrize("call", [fit, detect_panel_separation, detect_pooled_separation])
 def test_api_rejects_invalid_tol_or_max_iter(fixture_panel, call, options):

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from felogit import (
     PanelDataset,
     informative_subset,
     load_csv,
+    panel,
 )
 
 
@@ -234,3 +236,159 @@ def test_shuffled_random_panel_loads_to_its_arrays(tmp_path, seed):
     assert np.array_equal(data.periods, periods[order])
     assert np.array_equal(data.covariates, x[order])
     assert np.array_equal(data.outcomes, y[order])
+
+
+# The bulk pass of load_csv against the row-wise reader. A file is written as
+# rows of cell texts, respelled in ways the contract allows, and read by both;
+# the two must give the same arrays (bit for bit, dtypes included) or the same
+# PanelDataError text.
+
+def _outcome(reader, path):
+    try:
+        data = reader(path)
+    except PanelDataError as err:
+        return str(err)
+    return [(a.dtype.str, a.shape, a.tobytes())
+            for a in (data.ids, data.periods, data.covariates, data.outcomes)]
+
+
+def _fuzz_rows(rng):
+    """Header and shuffled body cells of a valid panel with n >= 2 and T >= 2."""
+    n, T, p = (int(v) for v in rng.integers([2, 2, 1], [6, 5, 4]))
+    rows = []
+    for ident in rng.choice(np.arange(-60, 60), size=n, replace=False):
+        for t in rng.choice(np.arange(-20, 40), size=T, replace=False):
+            x = rng.standard_normal(p) * 10.0 ** rng.integers(-5, 6, size=p)
+            rows.append([str(ident), str(t), str(rng.integers(0, 2))] + [repr(float(v)) for v in x])
+    rng.shuffle(rows)
+    return ["id", "t", "y"] + [f"x{j}" for j in range(1, p + 1)], rows
+
+
+def _respell(rows, rng):
+    """Spellings both passes accept: signs, y as a float, -0, padding."""
+    for row in rows:
+        for col, cell in enumerate(row):
+            roll = rng.integers(8)
+            if roll == 0 and col < 2 and not cell.startswith("-"):
+                cell = "+" + cell
+            elif roll == 1 and col == 2:
+                cell = {"0": "-0", "1": "1e0"}[cell]
+            elif roll == 2 and col == 2:
+                cell += ".0"
+            elif roll == 3 and col > 2:
+                cell = "-0"
+            pad = ["", " ", "\t", " \t "]
+            row[col] = pad[rng.integers(4)] + cell + pad[rng.integers(4)]
+
+
+_ROW_WISE_ONLY = {
+    "quoted cell": lambda row: row.__setitem__(3, f'"{row[3].strip()}"'),
+    "underscore in an integer": lambda row: row.__setitem__(
+        1, ("-0_" if "-" in row[1] else "0_") + row[1].strip().lstrip("+-")),
+    "non-ASCII digits": lambda row: row.__setitem__(
+        0, row[0].translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                                        "\u0665\u0666\u0667\u0668\u0669"))),
+}
+
+
+def _render(header, rows, rng, blank_lines=("",)):
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    for _ in range(rng.integers(3)):
+        lines.insert(rng.integers(1, len(lines) + 1), blank_lines[rng.integers(len(blank_lines))])
+    eol = "\r\n" if rng.integers(2) else "\n"
+    bom = "\ufeff" if rng.integers(2) else ""
+    return bom + eol.join(lines) + eol
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bulk_pass_equals_row_wise_reader_on_valid_files(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    header, rows = _fuzz_rows(rng)
+    _respell(rows, rng)
+    blank_lines = ("",)
+    if seed % 2:  # something only the row-wise reader accepts
+        blank_lines = ("", "  ", "\t")
+        for spell in _ROW_WISE_ONLY.values():
+            if rng.integers(2):
+                spell(rows[rng.integers(len(rows))])
+        if rng.integers(2):
+            header = [f'"{h}"' for h in header]
+    path = tmp_path / "panel.csv"
+    path.write_bytes(_render(header, rows, rng, blank_lines).encode("utf-8"))
+    rows_outcome = _outcome(panel._load_rows, path)
+    assert not isinstance(rows_outcome, str), rows_outcome
+    assert _outcome(load_csv, path) == rows_outcome
+
+
+def _set_cell(col, text):
+    def fault(rows, rng):
+        rows[rng.integers(len(rows))][col] = text
+    return fault
+
+
+_FAULTS = {
+    "# inside a cell": _set_cell(3, "0.5 # note"),
+    "1.0 in id": _set_cell(0, "1.0"),
+    "1e3 in t": _set_cell(1, "1e3"),
+    "1e400 in x": _set_cell(3, "1e400"),
+    "nan in y": _set_cell(2, "nan"),
+    "0.5 in y": _set_cell(2, "0.5"),
+    "extra field": lambda rows, rng: rows[rng.integers(len(rows))].append("0"),
+    "missing field": lambda rows, rng: rows[rng.integers(len(rows))].pop(),
+    "duplicate (id,t)": lambda rows, rng: rows.insert(
+        rng.integers(len(rows) + 1), list(rows[rng.integers(len(rows))])),
+    "unbalanced": lambda rows, rng: rows.pop(rng.integers(len(rows))),
+    "id beyond int64": _set_cell(0, "9223372036854775808"),
+    "t below int64": _set_cell(1, "-9223372036854775809"),
+    "header only": lambda rows, rng: rows.clear(),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("fault", list(_FAULTS))
+def test_bulk_pass_equals_row_wise_reader_on_faulty_files(tmp_path, fault, seed):
+    rng = np.random.default_rng([seed, len(fault)])
+    header, rows = _fuzz_rows(rng)
+    _respell(rows, rng)
+    _FAULTS[fault](rows, rng)
+    path = tmp_path / "panel.csv"
+    path.write_bytes(_render(header, rows, rng).encode("utf-8"))
+    rows_outcome = _outcome(panel._load_rows, path)
+    assert isinstance(rows_outcome, str), fault
+    assert _outcome(load_csv, path) == rows_outcome
+
+
+def test_clean_files_take_the_bulk_pass(tmp_path, fixture_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    header, rows = _fuzz_rows(rng)
+    _respell(rows, rng)
+    path = tmp_path / "panel.csv"
+    path.write_bytes(_render(header, rows, rng).encode("utf-8"))
+    expected = [_outcome(panel._load_rows, f) for f in (fixture_path, path)]
+
+    def row_wise(path):
+        raise AssertionError(f"{path} was read row by row")
+
+    monkeypatch.setattr(panel, "_load_rows", row_wise)
+    assert [_outcome(load_csv, f) for f in (fixture_path, path)] == expected
+
+
+def test_a_loadtxt_warning_sends_the_file_row_wise(fixture_path, monkeypatch):
+    # numpy < 2 reads "1.0" as an int64 with only a DeprecationWarning
+    expected = _outcome(panel._load_rows, fixture_path)
+    loadtxt, row_wise, calls = np.loadtxt, panel._load_rows, []
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return loadtxt(*args, **kwargs)
+
+    def counted(path):
+        calls.append(path)
+        return row_wise(path)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    monkeypatch.setattr(panel, "_load_rows", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # load_csv must raise it itself
+        assert _outcome(load_csv, fixture_path) == expected
+    assert calls == [fixture_path]
