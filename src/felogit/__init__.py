@@ -40,16 +40,14 @@ from .estimator import (
     CmleFit,
     conditional_loglik,
     conditional_score_and_hessian,
-    denominator_dp,
     fit,
 )
-from .panel import IndividualSlice, PanelDataset, informative_subset, load_csv
+from .panel import PanelDataset, informative_subset, load_csv
 from .simulate import FrequencyReport, SimConfig, existence_rate, generate_panel
 
 __all__ = [
     "__version__",
     "active_backend",
-    "denominator_dp",
     "cli_report_schema_path",
     "separated_panel_path",
     "STATUS_EXISTS",
@@ -72,7 +70,6 @@ __all__ = [
     "conditional_loglik",
     "conditional_score_and_hessian",
     "fit",
-    "IndividualSlice",
     "PanelDataset",
     "informative_subset",
     "load_csv",

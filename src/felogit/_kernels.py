@@ -41,9 +41,13 @@ def active_backend() -> str:
 #   d = h(t-1,m) - h(t-1,m-1) - x_t,
 # the law of total variance, which never subtracts E[aa'] - mu mu'.
 #
-# Slices with k = 0 or k = T have one sequence and zero covariance. Slices
-# with identical scores (in particular beta = 0) take the uniform closed form,
-# which keeps D = C(T,k) exact at beta = 0.
+# Rows with k = 0 or k = T need no case of their own. At k = 0 the answer
+# is the start value f(t,0) = 1 with h = C = 0. At k = T each step has
+# f(t-1,m) = 0, so logaddexp(-inf, b) = b gives w1 = 0 and w2 = 1 exactly:
+# the mean is sum_t x_t and the covariance stays exactly 0. Rows with
+# identical scores (in particular beta = 0) take the uniform closed form,
+# which keeps D = C(T,k) exact at beta = 0 and gives exactly zero covariance
+# for a covariate that is constant over time.
 # ---------------------------------------------------------------------------
 
 _BATCH_CELL_BUDGET = 4_000_000  # cap on the cells of the largest accumulator block
@@ -72,12 +76,7 @@ def logdenom_batch(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarra
     if n == 0:
         return out
 
-    k0 = totals == 0
-    kT = totals == T
-    eq = np.all(scores == scores[:, :1], axis=1) & ~k0 & ~kT
-    if kT.any():
-        logden[kT] = scores[kT].sum(axis=1)
-        mean[kT] = covariates[kT].sum(axis=1)
+    eq = np.all(scores == scores[:, :1], axis=1)
     if eq.any():
         ke = totals[eq].astype(np.float64)
         Tf = float(T)
@@ -91,13 +90,14 @@ def logdenom_batch(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarra
         if order >= 2:
             # uniform over the C(T,k) sequences: k(T-k)/(T(T-1)) Xc'Xc, with Xc
             # demeaned from differences, so a covariate constant over time
-            # gives exactly zero instead of demeaning round-off
+            # gives exactly zero instead of demeaning round-off (at T = 1,
+            # k(T-k) = 0 and the max only avoids 0/0)
             diffs = covariates[eq] - covariates[eq, :1]
             Xc = diffs - diffs.mean(axis=1, keepdims=True)
-            weight = ke * (Tf - ke) / (Tf * (Tf - 1.0))
+            weight = ke * (Tf - ke) / (Tf * max(Tf - 1.0, 1.0))
             cov[eq] = weight[:, None, None] * np.einsum("itp,itq->ipq", Xc, Xc)
 
-    rest = np.flatnonzero(~(k0 | kT | eq))
+    rest = np.flatnonzero(~eq)
     if rest.size:
         kmax = int(totals[rest].max())
         chunk = max(1, _BATCH_CELL_BUDGET // ((kmax + 1) * p ** order))
@@ -110,7 +110,7 @@ def logdenom_batch(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarra
 
 
 def _recursion(S: np.ndarray, X: np.ndarray, ks: np.ndarray, order: int):
-    """The log-scaled recursion over rows with 0 < k < T; returns the first
+    """The log-scaled recursion over rows with 0 <= k <= T; returns the first
     ``order + 1`` accumulators at each row's own k."""
     nr, T = S.shape
     p = X.shape[2]

@@ -411,7 +411,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (FelogitError, FileNotFoundError) as err:
+    except (FelogitError, OSError) as err:
         print(f"felogit: error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -12,8 +12,6 @@ next to log D without enumerating, so no C(T, k) is too large.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,10 +23,11 @@ from .detector import (
     STATUS_SEPARATED,
     DEFAULT_QP_TOL,
     ExistenceReport,
+    _check_options,
     detect_panel_separation,
 )
 from .errors import NonexistenceError
-from .panel import IndividualSlice, PanelDataset
+from .panel import PanelDataset
 
 DEFAULT_GRAD_TOL = 1e-8
 DEFAULT_NEWTON_MAX_ITER = 100
@@ -36,7 +35,6 @@ _ARMIJO = 1e-4
 _SHRINK = 0.5
 # predicted gains below this many ulps of |loglik| are lost in its round-off
 _FLAT_ULPS = 16.0
-_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -75,30 +73,6 @@ def _validate_beta(beta, p: int) -> np.ndarray:
     if not np.isfinite(beta).all():
         raise ValueError("beta must be finite")
     return beta
-
-
-def denominator_dp(slc: IndividualSlice, beta) -> tuple[float, np.ndarray]:
-    """Conditional-likelihood denominator and its gradient for one individual.
-
-    Computes sum over the alternative set of exp(sum_t d_t x_t'beta) and the
-    gradient of that sum, via the log-scaled recursion. At beta = 0 the value
-    is exactly C(T, k). Requires an informative slice and finite beta, and
-    raises ``ValueError`` when the value or its gradient overflows float64.
-    """
-    if not slc.informative:
-        raise ValueError("denominator_dp requires an informative slice")
-    beta = _validate_beta(beta, slc.p)
-    scores = slc.covariates @ beta
-    k = slc.choice_total
-    ld, mean = logdenom_batch(scores[None, :], slc.covariates[None], np.array([k]))
-    if ld[0] + math.log(max(1.0, float(np.abs(mean).max()))) > _LOG_FLOAT_MAX:
-        raise ValueError(f"denominator or its gradient overflows float64: log D = {ld[0]:.6g}")
-    if np.all(scores == scores[0]):
-        # equal scores: D = C(T,k) * exp(k * s); exact at beta = 0
-        value = float(math.comb(slc.T, k)) * math.exp(k * scores[0])
-    else:
-        value = math.exp(ld[0])
-    return value, value * mean[0]
 
 
 def conditional_loglik(data: PanelDataset, beta) -> float:
@@ -195,8 +169,7 @@ def fit(data: PanelDataset, force: bool = False, *,
     is in (0, 1) and ``max_iter`` (the cap on Newton iterations) is an
     integer >= 0.
     """
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
-        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    _check_options(tol, max_iter)
     gate = detect_panel_separation(data, tol=tol)
     if gate.status != STATUS_EXISTS and not force:
         if gate.status == STATUS_SEPARATED:

@@ -28,46 +28,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class IndividualSlice:
-    """One individual's data: a T x p covariate matrix and a 0/1 outcome vector."""
-
-    covariates: np.ndarray
-    outcomes: np.ndarray
-
-    def __post_init__(self):
-        cov = np.asarray(self.covariates, dtype=np.float64)
-        y = np.asarray(self.outcomes)
-        if cov.ndim != 2:
-            raise PanelDataError("covariates must be a T x p matrix")
-        if y.shape != (cov.shape[0],):
-            raise PanelDataError("outcomes must have one entry per period")
-        if not np.isfinite(cov).all():
-            raise PanelDataError("covariates must be finite")
-        if not np.isin(y, (0, 1)).all():
-            raise PanelDataError("invalid outcome: outcomes must be 0 or 1")
-        object.__setattr__(self, "covariates", _frozen(cov))
-        object.__setattr__(self, "outcomes", _frozen(y.astype(np.int8)))
-
-    @property
-    def T(self) -> int:
-        return self.outcomes.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.covariates.shape[1]
-
-    @property
-    def choice_total(self) -> int:
-        """Number of periods in which the individual chose 1."""
-        return int(self.outcomes.sum())
-
-    @property
-    def informative(self) -> bool:
-        """True when the outcome sequence is neither all-zero nor all-one."""
-        return 0 < self.choice_total < self.T
-
-
-@dataclass(frozen=True)
 class PanelDataset:
     """A validated balanced panel.
 
@@ -133,9 +93,6 @@ class PanelDataset:
         k = self.choice_totals
         return (k > 0) & (k < self.T)
 
-    def slice(self, i: int) -> IndividualSlice:
-        return IndividualSlice(self.covariates[i], self.outcomes[i])
-
     @classmethod
     def from_arrays(cls, covariates, outcomes, ids=None, periods=None) -> "PanelDataset":
         """Build a panel from raw (n, T, p) covariates and (n, T) outcomes."""
@@ -157,7 +114,8 @@ def load_csv(path) -> PanelDataset:
     ``t`` within each individual. Every individual must have the same number
     of rows and no duplicated ``(id, t)`` pair. A leading UTF-8 byte-order
     mark is ignored. Raises :class:`~felogit.errors.PanelDataError` with a
-    row/column location on parse failures.
+    row/column location on parse failures, and naming the file when it is
+    not UTF-8 text.
 
     A clean file is parsed in one vectorized pass. A file with any fault, or
     with a cell only Python's own number syntax accepts (a quoted cell, a
@@ -165,8 +123,11 @@ def load_csv(path) -> PanelDataset:
     which either builds the same panel or names the faulty row and column.
     """
     path = Path(path)
-    data = _load_bulk(path)
-    return data if data is not None else _load_rows(path)
+    try:
+        data = _load_bulk(path)
+        return data if data is not None else _load_rows(path)
+    except UnicodeDecodeError as err:
+        raise PanelDataError(f"{path}: not UTF-8 text ({err.reason})") from None
 
 
 def _expected_header(p: int) -> list[str]:

@@ -17,7 +17,6 @@ from felogit import (
     SimConfig,
     conditional_loglik,
     conditional_score_and_hessian,
-    denominator_dp,
     detect_panel_separation,
     detect_pooled_separation,
     existence_rate,
@@ -27,12 +26,14 @@ from felogit import (
     qp_problem_from_panel,
     qp_problem_from_pooled,
 )
+from felogit import _kernels
 from felogit.cli import main as cli_main
 
 from oracles import (
     central_diff_gradient,
     central_diff_jacobian,
-    enum_denominator,
+    enum_log_denominator,
+    enum_softmax_covariance,
     random_panel,
     sign_oracle_p1,
 )
@@ -126,24 +127,32 @@ def test_criterion_04_derivatives_match_finite_differences(capsys):
 
 
 def test_criterion_05_recursion_equals_enumeration(capsys):
+    # every draw counts, k = 0 and k = T included: the recursion serves
+    # those rows itself
     rng = np.random.default_rng(405)
-    worst = 0.0
-    checked = 0
-    while checked < 100:
+    worst_log, worst_mean, worst_cov = 0.0, 0.0, 0.0
+    ends = 0
+    for _ in range(100):
         T = int(rng.integers(2, 13))
-        data = random_panel(rng, n=1, T=T)
-        slc = data.slice(0)
-        if not slc.informative:
-            continue
-        checked += 1
-        beta = rng.standard_normal(slc.p)
-        value, _ = denominator_dp(slc, beta)
-        expected = enum_denominator(slc.covariates, slc.outcomes, beta)
-        worst = max(worst, abs(value - expected) / expected)
-    ok = worst < 1e-12
+        p = int(rng.integers(1, 4))
+        x = rng.standard_normal((T, p))
+        y = (rng.random(T) < 0.5).astype(np.int8)
+        beta = rng.standard_normal(p)
+        k = int(y.sum())
+        ends += k in (0, T)
+        logden, mean, cov = _kernels.logdenom_batch(
+            (x @ beta)[None], x[None], np.array([k]), order=2
+        )
+        worst_log = max(worst_log, abs(logden[0] - enum_log_denominator(x, y, beta)))
+        slope = central_diff_gradient(lambda b: enum_log_denominator(x, y, b), beta)
+        worst_mean = max(worst_mean, np.abs(mean[0] - slope).max() / max(1.0, np.abs(slope).max()))
+        expected = enum_softmax_covariance(x, y, beta)
+        worst_cov = max(worst_cov, np.abs(cov[0] - expected).max() / max(1.0, np.abs(expected).max()))
+    ok = worst_log < 1e-12 and worst_mean < 1e-6 and worst_cov < 1e-10
     with capsys.disabled():
-        _report(5, "denominator recursion equals enumeration on 100 slices", ok,
-                f"worst rel err {worst:.2e}")
+        _report(5, "recursion equals enumeration on 100 individuals", ok,
+                f"worst err log D {worst_log:.2e}, mean {worst_mean:.2e}, "
+                f"cov {worst_cov:.2e}; {ends} with k in {{0, T}}")
 
 
 def test_criterion_06_detector_matches_sign_oracle(capsys):

@@ -142,6 +142,20 @@ def test_check_missing_file_exits_1(capsys, tmp_path):
     assert err
 
 
+def test_check_not_utf8_file_exits_1(capsys, tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"id,t,y,x1\n1,1,0,\xff\n1,2,1,2\n")
+    code, _, err = run_cli(capsys, "check", str(path))
+    assert code == 1
+    assert err == f"felogit: error: {path}: not UTF-8 text (invalid start byte)\n"
+
+
+def test_check_directory_exits_1(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "check", str(tmp_path))
+    assert code == 1
+    assert err.startswith("felogit: error: ") and err.count("\n") == 1
+
+
 def test_fit_fixture_refuses_without_force(capsys, fixture_path):
     code, out, _ = run_cli(capsys, "fit", str(fixture_path))
     assert code == 2

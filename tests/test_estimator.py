@@ -253,6 +253,11 @@ def test_dimension_mismatch_rejected(fixture_panel):
         conditional_loglik(fixture_panel, [0.0, 1.0])
 
 
+def test_nonfinite_beta_rejected(fixture_panel):
+    with pytest.raises(ValueError, match="finite"):
+        conditional_loglik(fixture_panel, [np.inf])
+
+
 def test_newton_converges_when_gains_fall_below_loglik_roundoff():
     # with the score near 1e-8 the gain of a Newton step is below the
     # round-off of loglik ~ -100; an Armijo test on it shrinks every step

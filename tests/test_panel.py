@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 
 import numpy as np
@@ -80,6 +81,26 @@ def test_missing_cell_is_a_hard_error(tmp_path):
 def test_malformed_header_rejected(tmp_path):
     path = _write(tmp_path, "id,time,y,x1\n1,1,0,0.1\n")
     with pytest.raises(PanelDataError, match="header"):
+        load_csv(path)
+
+
+def test_not_utf8_header_block_is_a_panel_error(tmp_path):
+    # the bad byte lies in the block the bulk pass decodes to read the header
+    path = tmp_path / "panel.csv"
+    path.write_bytes(b"id,t,y,x1\n1,1,0,\xff\n1,2,1,2\n")
+    with pytest.raises(PanelDataError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+        load_csv(path)
+
+
+def test_not_utf8_past_the_header_block_is_a_panel_error(tmp_path):
+    # past the first 8 KB the bulk pass declines the file and the row-wise
+    # reader meets the bad byte
+    rows = "".join(f"{i},{t},{t - 1},{i + t}.5\n" for i in range(1, 1001) for t in (1, 2))
+    path = tmp_path / "panel.csv"
+    path.write_bytes(("id,t,y,x1\n" + rows).encode() + b"1001,1,0,\xff\n1001,2,1,2\n")
+    assert path.stat().st_size > 8192
+    assert panel._load_bulk(path) is None
+    with pytest.raises(PanelDataError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
         load_csv(path)
 
 
