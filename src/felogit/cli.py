@@ -2,8 +2,8 @@
 
 Exit codes: 0 the estimate exists (or the command succeeded), 1 input or
 usage error, 2 separated data, 3 rank condition failed, 4 non-convergence
-of a forced fit. JSON payloads serialize floats with 17 significant digits
-so parse(serialize(x)) round-trips exactly.
+of a forced fit. JSON payloads spell each float as its shortest round-trip
+``repr``, so parse(serialize(x)) is exact and re-serializing is byte-stable.
 """
 
 from __future__ import annotations
@@ -56,36 +56,8 @@ _SPURIOUS = {
 }
 
 
-class _Float17Encoder(json.JSONEncoder):
-    """json.JSONEncoder that prints floats with 17 significant digits."""
-
-    def iterencode(self, o, _one_shot=False):
-        markers = {} if self.check_circular else None
-        if self.ensure_ascii:
-            encoder = json.encoder.encode_basestring_ascii
-        else:
-            encoder = json.encoder.encode_basestring
-
-        def floatstr(x, allow_nan=self.allow_nan):
-            if x != x or x in (float("inf"), float("-inf")):
-                if not allow_nan:
-                    raise ValueError(f"out-of-range float: {x!r}")
-                return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
-            text = format(x, ".17g")
-            if "." not in text and "e" not in text:
-                text += ".0"  # keep integral floats typed as JSON floats
-            return text
-
-        iterencode = json.encoder._make_iterencode(
-            markers, self.default, encoder, self.indent, floatstr,
-            self.key_separator, self.item_separator, self.sort_keys,
-            self.skipkeys, _one_shot,
-        )
-        return iterencode(o, 0)
-
-
 def dumps_payload(payload: dict) -> str:
-    return json.dumps(payload, cls=_Float17Encoder, indent=2)
+    return json.dumps(payload, indent=2)
 
 
 def _existence_payload(report: ExistenceReport) -> dict:

@@ -117,13 +117,15 @@ def _dedup_nonzero(rows: np.ndarray) -> QpProblem:
     lam >= 1, so a repeated row would change the QP minimum and, for p >= 2,
     the direction (never the verdict), e.g. for a copied individual. The rows
     come out in lexicographic order, from one lexsort and a comparison of
-    neighbours.
+    neighbours. Each row is scaled by a power of two (exact) before its norm
+    is taken, so the norm neither overflows nor underflows at any scale.
     """
-    rows = rows[np.linalg.norm(rows, axis=1) > 0.0]
+    rows = rows[(rows != 0).any(axis=1)]
     if rows.size:
         rows = rows[np.lexsort(rows.T[::-1])]
         rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
-    return QpProblem(vectors=rows, normalized=rows / np.linalg.norm(rows, axis=1)[:, None])
+    scaled = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1][:, None])
+    return QpProblem(vectors=rows, normalized=scaled / np.linalg.norm(scaled, axis=1)[:, None])
 
 
 def qp_problem_from_panel(data: PanelDataset) -> QpProblem:

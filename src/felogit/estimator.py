@@ -26,7 +26,7 @@ from .detector import (
     _check_options,
     detect_panel_separation,
 )
-from .errors import NonexistenceError
+from .errors import NonexistenceError, PanelDataError
 from .panel import PanelDataset
 
 DEFAULT_GRAD_TOL = 1e-8
@@ -133,7 +133,13 @@ def _enumerated_moments(alt_scores: np.ndarray, attrs: np.ndarray, obs_index: np
 
 
 def _solve_spd(neg_hessian: np.ndarray, rhs: np.ndarray):
-    """Solve (-H) x = rhs, adding a small ridge when -H is numerically singular."""
+    """Solve (-H) x = rhs, adding a small ridge when -H is numerically singular.
+
+    Raises :class:`~felogit.errors.PanelDataError` when -H or rhs (the score
+    of a Newton step) is not finite."""
+    if not (np.isfinite(neg_hessian).all() and np.isfinite(rhs).all()):
+        raise PanelDataError("the score or Hessian is not finite: the covariates are"
+                             " too large to evaluate the likelihood; rescale them")
     p = neg_hessian.shape[0]
     try:
         np.linalg.cholesky(neg_hessian)
@@ -167,7 +173,8 @@ def fit(data: PanelDataset, force: bool = False, *,
 
     Raises ``ValueError`` unless ``tol`` (the existence check's QP tolerance)
     is in (0, 1) and ``max_iter`` (the cap on Newton iterations) is an
-    integer >= 0.
+    integer >= 0, and :class:`~felogit.errors.PanelDataError` when the score
+    or Hessian overflows.
     """
     _check_options(tol, max_iter)
     gate = detect_panel_separation(data, tol=tol)

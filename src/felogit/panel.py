@@ -137,11 +137,12 @@ def _expected_header(p: int) -> list[str]:
 def _load_bulk(path: Path) -> PanelDataset | None:
     """The panel in ``path`` from one ``np.loadtxt`` pass, or None.
 
-    Every check of :func:`_load_rows` is made on the arrays; None means one
-    of them failed (or ``loadtxt`` raised or warned) and the row-wise reader
-    has to decide the file. Warnings are errors here: numpy < 2 parses ``1.0``
-    as an int64 with only a ``DeprecationWarning``, which the row-wise reader
-    rejects. ``comments=None`` keeps ``0.5 # note`` a bad cell.
+    The arrays go through :func:`_assemble`, so :class:`PanelDataset` makes
+    every check on them; None means one failed (or ``loadtxt`` raised or
+    warned) and the row-wise reader has to decide the file and name its first
+    fault. Warnings are errors here: numpy < 2 parses ``1.0`` as an int64 with
+    only a ``DeprecationWarning``, which the row-wise reader rejects.
+    ``comments=None`` keeps ``0.5 # note`` a bad cell.
     """
     with path.open(newline="", encoding="utf-8-sig") as fh:
         header = [c.strip() for c in next(csv.reader(fh), [])]
@@ -155,26 +156,33 @@ def _load_bulk(path: Path) -> PanelDataset | None:
                 rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
         except (ValueError, Warning):
             return None
-    if rows.size == 0 or not np.isfinite(rows["v"]).all():
+    try:
+        return _assemble(path, rows["id"], rows["t"], rows["v"])
+    except PanelDataError:
         return None
-    order = np.lexsort((rows["t"], rows["id"]))
-    ident, t, v = rows["id"][order], rows["t"][order], rows["v"][order]
-    y = v[:, 0]
-    if not ((y == 0.0) | (y == 1.0)).all():
-        return None
-    same_id = ident[1:] == ident[:-1]
-    if (same_id & (t[1:] == t[:-1])).any():
-        return None
-    starts = np.flatnonzero(np.r_[True, ~same_id])
-    counts = np.diff(np.r_[starts, len(ident)])
-    if (counts != counts[0]).any():
-        return None
-    shape = (len(starts), int(counts[0]))
+
+
+def _assemble(path: Path, ident: np.ndarray, t: np.ndarray, values: np.ndarray) -> PanelDataset:
+    """The panel of the rows ``(ident, t, values)``, ``values`` holding y, x1, ..., xp.
+
+    Rows are grouped by id and sorted by t. Raises
+    :class:`~felogit.errors.PanelDataError` when individuals have differing
+    row counts; :class:`PanelDataset` checks everything else.
+    """
+    order = np.lexsort((t, ident))
+    ident, t, values = ident[order], t[order], values[order]
+    ids, counts = np.unique(ident, return_counts=True)
+    sizes = np.unique(counts)
+    if len(sizes) != 1:
+        raise PanelDataError(
+            f"{path}: unbalanced or duplicated panel: individuals have differing row counts {sizes.tolist()}"
+        )
+    shape = (len(ids), int(sizes[0]))
     return PanelDataset(
-        ids=ident[starts],
+        ids=ids,
         periods=t.reshape(shape),
-        covariates=v[:, 1:].reshape(*shape, p),
-        outcomes=y.astype(np.int8).reshape(shape),
+        covariates=values[:, 1:].reshape(*shape, -1),
+        outcomes=values[:, 0].reshape(shape),
     )
 
 
@@ -222,20 +230,8 @@ def _load_rows(path: Path) -> PanelDataset:
     if not outcomes:
         raise PanelDataError(f"{path}: no data rows")
     keys = np.array(list(outcomes), dtype=np.int64)
-    unique_ids, counts = np.unique(keys[:, 0], return_counts=True)
-    sizes = np.unique(counts)
-    if len(sizes) != 1:
-        raise PanelDataError(
-            f"{path}: unbalanced or duplicated panel: individuals have differing row counts {sizes.tolist()}"
-        )
-    shape = (len(unique_ids), int(sizes[0]))
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
-    return PanelDataset(
-        ids=unique_ids,
-        periods=keys[order, 1].reshape(shape),
-        covariates=np.array(xs).reshape(-1, p)[order].reshape(*shape, p),
-        outcomes=np.array(list(outcomes.values()), dtype=np.int8)[order].reshape(shape),
-    )
+    values = np.column_stack([list(outcomes.values()), np.reshape(xs, (-1, p))])
+    return _assemble(path, keys[:, 0], keys[:, 1], values)
 
 
 def _parse_int(cell: str, path, lineno: int, col: str) -> int:

@@ -38,11 +38,13 @@ class SimConfig:
             raise ValueError("replications must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.effect_scale < 0:
-            raise ValueError("effect_scale must be non-negative")
+        if not 0 <= self.effect_scale < np.inf:
+            raise ValueError("effect_scale must be finite and non-negative")
         beta0 = np.asarray(self.beta0, dtype=np.float64).reshape(-1)
         if beta0.shape != (self.p,):
             raise ValueError(f"beta0 must have length p = {self.p}")
+        if not np.isfinite(beta0).all():
+            raise ValueError("beta0 must be finite")
         beta0.setflags(write=False)
         object.__setattr__(self, "beta0", beta0)
 

@@ -254,6 +254,32 @@ def test_simulate_bad_beta0_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("option, value", [("--beta0", "nan"), ("--effect-scale", "inf")])
+def test_simulate_nonfinite_design_exits_1(capsys, option, value):
+    # a NaN or Infinity token in the payload would not be JSON
+    argv = ["simulate", "--n", "5", "--T", "3", "--p", "1", "--beta0", "1.0"]
+    code, out, err = run_cli(capsys, *argv, option, value, "--output", "json")
+    assert code == 1
+    assert out == ""
+    assert "must be finite" in err
+
+
+def test_fit_with_overflowing_hessian_exits_1(capsys, tmp_path):
+    # the check decides this panel, but x'x overflows in the Hessian
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((60, 4))
+    y = (x + rng.logistic(size=(60, 4)) > 0).astype(int)
+    rows = [f"{i + 1},{t + 1},{y[i, t]},{math.ldexp(x[i, t], 660)!r}"
+            for i in range(60) for t in range(4)]
+    path = _write(tmp_path, "id,t,y,x1\n" + "\n".join(rows) + "\n")
+    assert run_cli(capsys, "check", path)[0] == 0
+    code, out, err = run_cli(capsys, "fit", path)
+    assert code == 1
+    assert out == ""
+    assert err == ("felogit: error: the score or Hessian is not finite: the covariates"
+                   " are too large to evaluate the likelihood; rescale them\n")
+
+
 SIM_ARGS = ("simulate", "--n", "10", "--T", "4", "--p", "2", "--beta0", "2,-1")
 
 
@@ -295,14 +321,18 @@ def test_json_round_trip_and_stability(capsys, fixture_path):
     assert json.loads(dumps_payload(payload)) == payload
 
 
-def test_json_floats_use_17_significant_digits():
+def test_json_floats_round_trip_exactly():
     from felogit.cli import dumps_payload
 
-    text = dumps_payload({"v": 0.1, "w": 196.0, "z": 1e-6})
-    assert '"v": 0.10000000000000001' in text
-    assert '"w": 196.0' in text
-    parsed = json.loads(text)
-    assert parsed["v"] == 0.1 and parsed["w"] == 196.0 and parsed["z"] == 1e-6
+    values = [0.1, 196.0, 1e-6, 5e-324, 1.7976931348623157e308, -0.0]
+    text = dumps_payload({"v": values})
+    parsed = json.loads(text)["v"]
+    assert [v.hex() for v in parsed] == [v.hex() for v in values]  # -0.0 keeps its sign
+    assert json.dumps(json.loads(text), indent=2) == text
+
+
+def _reject_constant(token):
+    raise ValueError(f"not JSON: {token}")
 
 
 @pytest.mark.parametrize(
@@ -327,5 +357,5 @@ def test_json_payloads_validate_against_schema(capsys, tmp_path, fixture_path, s
         else:
             resolved.append(a)
     _, out, _ = run_cli(capsys, *resolved, "--output", "json")
-    payload = json.loads(out)
+    payload = json.loads(out, parse_constant=_reject_constant)  # no NaN or Infinity
     jsonschema.validate(payload, schema)

@@ -139,6 +139,20 @@ def test_scale_invariance_power_of_two_is_exact():
             assert other.qp_min == base.qp_min
 
 
+@pytest.mark.parametrize("exponent", [600, -600])
+def test_extreme_power_of_two_scale_leaves_the_report_unchanged(fixture_panel, exponent):
+    # |x| beyond 1e154 (or below 1e-154) squares out of range inside a norm
+    base = detect_panel_separation(fixture_panel)
+    scaled = PanelDataset.from_arrays(
+        np.ldexp(fixture_panel.covariates, exponent), fixture_panel.outcomes)
+    other = detect_panel_separation(scaled)
+    assert other.status == base.status == STATUS_SEPARATED
+    assert other.qp_min == base.qp_min
+    assert np.array_equal(other.direction, base.direction)
+    assert other.kkt_margin == base.kkt_margin
+    assert other.n_constraints == base.n_constraints
+
+
 def test_scale_invariance_generic_factor():
     rng = np.random.default_rng(43)
     for _ in range(10):

@@ -37,6 +37,9 @@ def test_config_validation():
         SimConfig(n=3, T=3, p=1, beta0=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         SimConfig(n=3, T=3, p=1, beta0=np.array([1.0]), seed=-1)
+    for beta0, effect_scale in [(np.nan, 1.0), (-np.inf, 1.0), (1.0, np.inf), (1.0, np.nan)]:
+        with pytest.raises(ValueError, match="must be finite"):
+            SimConfig(n=3, T=3, p=1, beta0=np.array([beta0]), effect_scale=effect_scale)
 
 
 def test_single_replication_report_shape():
