@@ -43,7 +43,13 @@ from .estimator import (
     fit,
 )
 from .panel import PanelDataset, informative_subset, load_csv
-from .simulate import FrequencyReport, SimConfig, existence_rate, generate_panel
+from .simulate import (
+    DetectorFrequencies,
+    FrequencyReport,
+    SimConfig,
+    existence_rate,
+    generate_panel,
+)
 
 __all__ = [
     "__version__",
@@ -73,6 +79,7 @@ __all__ = [
     "PanelDataset",
     "informative_subset",
     "load_csv",
+    "DetectorFrequencies",
     "FrequencyReport",
     "SimConfig",
     "existence_rate",

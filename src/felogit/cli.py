@@ -1,9 +1,10 @@
 """Command-line front end: check, fit, pooled-check, simulate.
 
 Exit codes: 0 the estimate exists (or the command succeeded), 1 input or
-usage error, 2 separated data, 3 rank condition failed, 4 non-convergence
-of a forced fit. JSON payloads spell each float as its shortest round-trip
-``repr``, so parse(serialize(x)) is exact and re-serializing is byte-stable.
+usage error, 2 separated data, 3 rank condition failed, 4 ``fit`` did not
+converge: a forced fit on a gated panel, or the ``--max-iter`` cap. JSON
+payloads spell each float as its shortest round-trip ``repr``, so
+parse(serialize(x)) is exact and re-serializing is byte-stable.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .detector import (
 from .errors import FelogitError, NonexistenceError
 from .estimator import DEFAULT_NEWTON_MAX_ITER, CmleFit, fit
 from .panel import load_csv
-from .simulate import FrequencyReport, SimConfig, existence_rate
+from .simulate import DetectorFrequencies, FrequencyReport, SimConfig, existence_rate
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -36,23 +37,18 @@ EXIT_SEPARATED = 2
 EXIT_RANK = 3
 EXIT_NONCONVERGED = 4
 
-_STATUS_EXIT = {
-    STATUS_EXISTS: EXIT_OK,
-    STATUS_SEPARATED: EXIT_SEPARATED,
-    STATUS_RANK_DEFICIENT: EXIT_RANK,
-}
-
-_BANNER = {
-    STATUS_EXISTS: "EXISTS",
-    STATUS_SEPARATED: "SEPARATED",
-    STATUS_RANK_DEFICIENT: "RANK-DEFICIENT",
-}
-
-# banner and reason of a forced fit, by the gate status that refused it
-_SPURIOUS = {
-    STATUS_SEPARATED: ("separated data", "no finite maximizer exists here"),
-    STATUS_RANK_DEFICIENT: ("rank condition failed",
-                            "the estimate is not identified here"),
+# per gate status: exit code, banner, heading ({} names the estimate), and
+# the banner and reason of a fit forced past the gate
+_STATUS = {
+    STATUS_EXISTS: (EXIT_OK, "EXISTS", "a unique finite {} exists", None),
+    STATUS_SEPARATED: (
+        EXIT_SEPARATED, "SEPARATED", "the data are separated; no finite {} exists",
+        ("separated data", "no finite maximizer exists here"),
+    ),
+    STATUS_RANK_DEFICIENT: (
+        EXIT_RANK, "RANK-DEFICIENT", "the rank condition failed; the {} is not identified",
+        ("rank condition failed", "the estimate is not identified here"),
+    ),
 }
 
 
@@ -126,20 +122,18 @@ def _simulate_payload(report: FrequencyReport) -> dict:
             "replications": cfg.replications,
             "seed": cfg.seed,
         },
-        "panel": {
-            "exists": report.panel_exists,
-            "status": report.panel_status,
-            "qp_min": report.panel_qp_min,
-            "exists_fraction": report.panel_exists_fraction,
-            "qp_min_mean": report.panel_qp_min_mean,
-        },
-        "pooled": {
-            "exists": report.pooled_exists,
-            "status": report.pooled_status,
-            "qp_min": report.pooled_qp_min,
-            "exists_fraction": report.pooled_exists_fraction,
-            "qp_min_mean": report.pooled_qp_min_mean,
-        },
+        "panel": _frequencies_payload(report.panel),
+        "pooled": _frequencies_payload(report.pooled),
+    }
+
+
+def _frequencies_payload(freq: DetectorFrequencies) -> dict:
+    return {
+        "exists": freq.exists,
+        "status": freq.status,
+        "qp_min": freq.qp_min,
+        "exists_fraction": freq.exists_fraction,
+        "qp_min_mean": freq.qp_min_mean,
     }
 
 
@@ -165,8 +159,10 @@ def _vec(v, fmt: str = ".6g") -> str:
     return "[" + ", ".join(format(x, fmt) for x in v) + "]"
 
 
-def _existence_text(report: ExistenceReport, heading: str) -> str:
-    lines = [f"{_BANNER[report.status]}: {heading}"]
+def _existence_text(report: ExistenceReport, panel: bool) -> str:
+    _, banner, heading, _ = _STATUS[report.status]
+    scope = "conditional ML estimate" if panel else "pooled logit ML estimate"
+    lines = [f"{banner}: {heading.format(scope)}"]
     if report.message:
         lines.append(f"  note: {report.message}")
     if report.qp_min is not None:
@@ -187,15 +183,6 @@ def _existence_text(report: ExistenceReport, heading: str) -> str:
     return "\n".join(lines)
 
 
-def _status_heading(status: str, panel: bool) -> str:
-    scope = "conditional ML estimate" if panel else "pooled logit ML estimate"
-    if status == STATUS_EXISTS:
-        return f"a unique finite {scope} exists"
-    if status == STATUS_SEPARATED:
-        return f"the data are separated; no finite {scope} exists"
-    return f"the rank condition failed; the {scope} is not identified"
-
-
 def cmd_check(args) -> int:
     """``check`` (the panel detector) and ``pooled-check`` (the pooled one)."""
     data = load_csv(args.csv)
@@ -204,21 +191,18 @@ def cmd_check(args) -> int:
     report = detect(data, tol=args.tol, max_iter=args.max_iter)
     options = {"tol": args.tol, "max_iter": args.max_iter}
     payload = _wrap(args.command, args.csv, options, existence=_existence_payload(report))
-    _emit(args, payload, _existence_text(report, _status_heading(report.status, panel)))
-    return _STATUS_EXIT[report.status]
+    _emit(args, payload, _existence_text(report, panel))
+    return _STATUS[report.status][0]
 
 
 def _fit_text(result: CmleFit) -> str:
-    lines = []
-    if result.gate.status != STATUS_EXISTS:
-        banner, reason = _SPURIOUS[result.gate.status]
-        lines.append(f"SPURIOUS: {banner}")
-        lines.append(
-            f"  {reason}; the numbers below are artifacts"
-            " of the stopping rule, not estimates"
-        )
+    spurious = _STATUS[result.gate.status][3]
+    if spurious is None:
+        lines = ["FIT: conditional maximum likelihood estimate"]
     else:
-        lines.append("FIT: conditional maximum likelihood estimate")
+        banner, reason = spurious
+        lines = [f"SPURIOUS: {banner}",
+                 f"  {reason}; the numbers below are artifacts of the stopping rule, not estimates"]
     width = max(5, len(str(result.beta_hat.shape[0])) + 1)
     lines.append(f"  {'coef':<{width + 2}} estimate        std. error")
     for j, (b, s) in enumerate(zip(result.beta_hat, result.std_errors), start=1):
@@ -243,14 +227,14 @@ def cmd_fit(args) -> int:
             "fit", args.csv, options,
             existence=_existence_payload(report), fit=None, refused=True,
         )
-        text = _existence_text(report, _status_heading(report.status, True))
+        text = _existence_text(report, panel=True)
         text += (
             "\nrefusing to estimate: no finite maximizer exists, so any fitted"
             " numbers would describe the solver, not the data (use --force to"
             " see them anyway)"
         )
         _emit(args, payload, text)
-        return _STATUS_EXIT[report.status]
+        return _STATUS[report.status][0]
     payload = _wrap(
         "fit", args.csv, options,
         existence=_existence_payload(result.gate), fit=_fit_payload(result), refused=False,
@@ -267,22 +251,13 @@ def _simulate_text(report: FrequencyReport) -> str:
         "SIMULATION: existence frequencies",
         f"  design: n={cfg.n} T={cfg.T} p={cfg.p} beta0={_vec(cfg.beta0)}"
         f" effect_scale={cfg.effect_scale:g} replications={cfg.replications} seed={cfg.seed}",
-        f"  panel detector: exists fraction {report.panel_exists_fraction:.4g}"
-        + (
-            f", mean qp_min {report.panel_qp_min_mean:.4g}"
-            if report.panel_qp_min_mean is not None
-            else ""
-        ),
-        f"  pooled detector: exists fraction {report.pooled_exists_fraction:.4g}"
-        + (
-            f", mean qp_min {report.pooled_qp_min_mean:.4g}"
-            if report.pooled_qp_min_mean is not None
-            else ""
-        ),
     ]
+    sides = (("panel", report.panel), ("pooled", report.pooled))
+    for name, freq in sides:
+        mean = "" if freq.qp_min_mean is None else f", mean qp_min {freq.qp_min_mean:.4g}"
+        lines.append(f"  {name} detector: exists fraction {freq.exists_fraction:.4g}{mean}")
     if cfg.replications == 1:
-        lines.append(f"  panel exists: {report.panel_exists[0]}")
-        lines.append(f"  pooled exists: {report.pooled_exists[0]}")
+        lines += [f"  {name} exists: {freq.exists[0]}" for name, freq in sides]
     return "\n".join(lines)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,50 +58,43 @@ def generate_panel(config: SimConfig, rep: int = 0) -> PanelDataset:
         raise ValueError("rep must be non-negative")
     rng = np.random.default_rng([config.seed, rep])
     n, T, p = config.n, config.T, config.p
+    # every term of the latent index is scaled by one power of two: exact
+    # where nothing under- or overflows, so y is unchanged, but a beta0 near
+    # the float maximum can no longer overflow x @ beta0 into inf - inf = NaN
+    e = max(math.frexp(max(np.abs(config.beta0).max(), config.effect_scale))[1], 0)
     x = rng.standard_normal((n, T, p))
-    effects = config.effect_scale * rng.standard_normal(n)
+    effects = math.ldexp(config.effect_scale, -e) * rng.standard_normal(n)
     noise = rng.logistic(size=(n, T))
-    latent = x @ config.beta0 + effects[:, None] + noise
+    latent = x @ np.ldexp(config.beta0, -e) + effects[:, None] + np.ldexp(noise, -e)
     y = (latent > 0).astype(np.int8)
     return PanelDataset.from_arrays(x, y)
 
 
-@dataclass
+@dataclass(frozen=True)
+class DetectorFrequencies:
+    """One detector's per-replication verdicts, plus their summaries."""
+
+    exists: list[bool]
+    status: list[str]
+    qp_min: list[float | None]
+
+    @property
+    def exists_fraction(self) -> float:
+        return sum(self.exists) / len(self.exists)
+
+    @property
+    def qp_min_mean(self) -> float | None:
+        present = [v for v in self.qp_min if v is not None]
+        return sum(present) / len(present) if present else None
+
+
+@dataclass(frozen=True)
 class FrequencyReport:
-    """Per-replication existence verdicts for both detectors, plus summaries."""
+    """Existence frequencies of the panel and the pooled detector."""
 
     config: SimConfig
-    panel_exists: list[bool]
-    panel_status: list[str]
-    panel_qp_min: list[float | None]
-    pooled_exists: list[bool]
-    pooled_status: list[str]
-    pooled_qp_min: list[float | None]
-
-    @property
-    def replications(self) -> int:
-        return len(self.panel_exists)
-
-    @property
-    def panel_exists_fraction(self) -> float:
-        return sum(self.panel_exists) / self.replications
-
-    @property
-    def pooled_exists_fraction(self) -> float:
-        return sum(self.pooled_exists) / self.replications
-
-    @property
-    def panel_qp_min_mean(self) -> float | None:
-        return _mean_or_none(self.panel_qp_min)
-
-    @property
-    def pooled_qp_min_mean(self) -> float | None:
-        return _mean_or_none(self.pooled_qp_min)
-
-
-def _mean_or_none(values) -> float | None:
-    present = [v for v in values if v is not None]
-    return sum(present) / len(present) if present else None
+    panel: DetectorFrequencies
+    pooled: DetectorFrequencies
 
 
 def existence_rate(config: SimConfig, *, tol: float = DEFAULT_QP_TOL) -> FrequencyReport:
@@ -115,22 +109,14 @@ def existence_rate(config: SimConfig, *, tol: float = DEFAULT_QP_TOL) -> Frequen
     frequencies are reported side by side without asserting any ordering
     between them.
     """
-    panel, pooled = [], []
+    detectors = (detect_panel_separation, detect_pooled_separation)
+    verdicts = ([], [])
     for rep in range(config.replications):
         data = generate_panel(config, rep)
-        panel.append(_verdict(detect_panel_separation, data, tol))
-        pooled.append(_verdict(detect_pooled_separation, data, tol))
-    panel_exists, panel_status, panel_qp = (list(c) for c in zip(*panel))
-    pooled_exists, pooled_status, pooled_qp = (list(c) for c in zip(*pooled))
-    return FrequencyReport(
-        config=config,
-        panel_exists=panel_exists,
-        panel_status=panel_status,
-        panel_qp_min=panel_qp,
-        pooled_exists=pooled_exists,
-        pooled_status=pooled_status,
-        pooled_qp_min=pooled_qp,
-    )
+        for detect, rows in zip(detectors, verdicts):
+            rows.append(_verdict(detect, data, tol))
+    panel, pooled = (DetectorFrequencies(*map(list, zip(*rows))) for rows in verdicts)
+    return FrequencyReport(config=config, panel=panel, pooled=pooled)
 
 
 def _verdict(detect, data: PanelDataset, tol: float) -> tuple[bool, str, float | None]:

@@ -310,7 +310,7 @@ def test_criterion_11_existence_fraction_increases_with_n(capsys):
     for n in (2, 10, 50, 200):
         config = SimConfig(n=n, T=3, p=1, beta0=np.array([1.0]),
                            effect_scale=1.0, replications=500, seed=424242)
-        fractions.append(existence_rate(config).panel_exists_fraction)
+        fractions.append(existence_rate(config).panel.exists_fraction)
     ok = all(b >= a for a, b in zip(fractions, fractions[1:]))
     with capsys.disabled():
         _report(11, "existence fraction weakly increasing in n", ok,

@@ -201,6 +201,59 @@ def test_fit_triple_closed_form(capsys, tmp_path):
     assert payload["fit"]["converged"] is True
 
 
+def test_fit_capped_at_max_iter_exits_4_unforced(capsys, tmp_path):
+    # the estimate exists, so nothing is forced; one Newton step does not converge
+    path = _write(tmp_path, TRIPLE_CSV)
+    code, out, _ = run_cli(capsys, "fit", path, "--max-iter", "1")
+    assert code == 4
+    assert out.splitlines()[0] == "FIT: conditional maximum likelihood estimate"
+    assert "converged: False" in out
+
+
+_INLINE_CSV = {
+    "SYMMETRIC": SYMMETRIC_CSV,
+    "XOR": XOR_CSV,
+    "CONSTANT_X": _time_constant_csv((0.7, 2.7)),
+}
+_SEPARATED_PANEL = "SEPARATED: the data are separated; no finite conditional ML estimate exists"
+
+
+@pytest.mark.parametrize("args, code, lines", [
+    pytest.param(("check", "FIXTURE"), 2, [_SEPARATED_PANEL], id="check-separated"),
+    pytest.param(("fit", "FIXTURE"), 2, [_SEPARATED_PANEL], id="fit-refused"),
+    pytest.param(("pooled-check", "FIXTURE"), 2,
+                 ["SEPARATED: the data are separated; no finite pooled logit ML estimate exists"],
+                 id="pooled-check-separated"),
+    pytest.param(("check", "SYMMETRIC"), 0,
+                 ["EXISTS: a unique finite conditional ML estimate exists"], id="check-exists"),
+    pytest.param(("pooled-check", "XOR"), 0,
+                 ["EXISTS: a unique finite pooled logit ML estimate exists"],
+                 id="pooled-check-exists"),
+    pytest.param(("check", "CONSTANT_X"), 3,
+                 ["RANK-DEFICIENT: the rank condition failed;"
+                  " the conditional ML estimate is not identified"], id="check-rank-deficient"),
+    pytest.param(("fit", "FIXTURE", "--force"), 4, ["SPURIOUS: separated data"],
+                 id="fit-forced-separated"),
+    pytest.param(("fit", "CONSTANT_X", "--force"), 4, ["SPURIOUS: rank condition failed"],
+                 id="fit-forced-rank-deficient"),
+    # no replication reaches the panel QP, so its mean qp_min is left out
+    pytest.param(("simulate", "--n", "1", "--T", "1", "--p", "1", "--beta0", "1",
+                  "--reps", "3", "--seed", "1"), 0,
+                 ["SIMULATION: existence frequencies",
+                  "  panel detector: exists fraction 0",
+                  "  pooled detector: exists fraction 0, mean qp_min 1"],
+                 id="simulate-no-panel-qp"),
+])
+def test_text_headings_and_exit_codes(capsys, tmp_path, fixture_path, args, code, lines):
+    argv = [str(fixture_path) if a == "FIXTURE"
+            else _write(tmp_path, _INLINE_CSV[a]) if a in _INLINE_CSV else a for a in args]
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, err) == (code, "")
+    out_lines = out.splitlines()
+    assert out_lines[0] == lines[0]
+    assert set(lines) <= set(out_lines)
+
+
 def test_pooled_check_fixture_exits_2(capsys, fixture_path):
     code, out, _ = run_cli(capsys, "pooled-check", str(fixture_path))
     assert code == 2

@@ -1,8 +1,11 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every private
+module-level name it defines.
 
 No linter ships with the test dependencies, so this parses the sources with
 ``ast``: a name bound by ``import`` or ``from ... import`` must be read
-somewhere in its module, or be listed in the module's ``__all__``.
+somewhere in its module, or be listed in the module's ``__all__``; a
+module-level name with one leading underscore must be read somewhere in the
+package outside its own definition.
 """
 
 import ast
@@ -37,3 +40,38 @@ def test_sources_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _defined_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_no_unread_private_definitions():
+    # each top-level statement of the package, with the names it reads
+    statements = [(path.name, node, _read_names(node))
+                  for path in SOURCES
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    unread = [
+        f"{module} line {node.lineno}: {name}"
+        for module, node, _ in statements
+        for name in _defined_names(node)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in reads for _, other, reads in statements if other is not node)
+    ]
+    assert unread == []

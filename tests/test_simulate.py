@@ -28,6 +28,16 @@ def test_outcome_mean_is_half_under_null():
     assert abs(data.outcomes.mean() - 0.5) < 0.01
 
 
+def test_huge_coefficients_do_not_overflow_the_latent_index():
+    # x @ beta0 used to give inf - inf = NaN here, and NaN > 0 drew y = 0;
+    # pytest turns the overflow warning into an error
+    config = SimConfig(n=2000, T=3, p=2, beta0=np.array([1e308, -1e308]),
+                       effect_scale=0.0, seed=0)
+    data = generate_panel(config)
+    x = data.covariates
+    assert np.array_equal(data.outcomes, x[..., 0] > x[..., 1])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(n=0, T=3, p=1, beta0=np.array([1.0]))
@@ -45,30 +55,30 @@ def test_config_validation():
 def test_single_replication_report_shape():
     config = SimConfig(n=4, T=3, p=1, beta0=np.array([1.0]), replications=1, seed=5)
     report = existence_rate(config)
-    assert len(report.panel_exists) == 1
-    assert len(report.pooled_exists) == 1
-    assert isinstance(report.panel_exists[0], bool)
-    assert isinstance(report.pooled_exists[0], bool)
+    assert len(report.panel.exists) == 1
+    assert len(report.pooled.exists) == 1
+    assert isinstance(report.panel.exists[0], bool)
+    assert isinstance(report.pooled.exists[0], bool)
 
 
 def test_existence_rate_deterministic():
     config = SimConfig(n=5, T=3, p=1, beta0=np.array([1.0]), replications=20, seed=17)
     a = existence_rate(config)
     b = existence_rate(config)
-    assert a.panel_exists == b.panel_exists
-    assert a.panel_qp_min == b.panel_qp_min
-    assert a.pooled_exists == b.pooled_exists
+    assert a.panel.exists == b.panel.exists
+    assert a.panel.qp_min == b.panel.qp_min
+    assert a.pooled.exists == b.pooled.exists
 
 
 def test_small_panels_fail_often():
     config = SimConfig(n=2, T=2, p=1, beta0=np.array([1.0]), replications=2000, seed=77)
     report = existence_rate(config)
-    assert report.panel_exists_fraction < 0.9
+    assert report.panel.exists_fraction < 0.9
     # non-existence here is dominated by separation or fully degenerate draws
-    assert any(s != "exists_unique" for s in report.panel_status)
+    assert any(s != "exists_unique" for s in report.panel.status)
 
 
 def test_large_panels_almost_always_exist():
     config = SimConfig(n=200, T=3, p=1, beta0=np.array([1.0]), replications=200, seed=7)
     report = existence_rate(config)
-    assert report.panel_exists_fraction >= 0.99
+    assert report.panel.exists_fraction >= 0.99
