@@ -1,7 +1,7 @@
 """Command-line front end: check, fit, pooled-check, simulate.
 
 Exit codes: 0 the estimate exists (or the command succeeded), 1 input or
-usage error, 2 separated data, 3 rank condition failed, 4 ``fit`` did not
+usage error (or out of memory), 2 separated data, 3 rank condition failed, 4 ``fit`` did not
 converge: a forced fit on a gated panel, or the ``--max-iter`` cap. JSON
 payloads spell each float as its shortest round-trip ``repr``, so
 parse(serialize(x)) is exact and re-serializing is byte-stable.
@@ -360,6 +360,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (FelogitError, OSError) as err:
         print(f"felogit: error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as err:
+        print(f"felogit: error: out of memory: {err}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -1,17 +1,21 @@
 """Conditional maximum likelihood estimation, gated by the existence check.
 
 The conditional log-likelihood is globally concave, so a damped Newton
-iteration from beta = 0 converges whenever a finite maximizer exists. The
-value comes from the denominator recursion in :mod:`felogit._kernels`. Score
-and Hessian need the softmax mean and covariance of the attribute vectors
-over each individual's alternative sequences: the small alternative sets
-that :mod:`felogit.altsets` enumerates faster take them from the
-enumeration, every other set from the same recursion, which carries them
-next to log D without enumerating, so no C(T, k) is too large.
+iteration from beta = 0 converges whenever a finite maximizer exists. Value,
+score and Hessian need the log denominator and the softmax mean and
+covariance of the attribute vectors over each individual's alternative
+sequences. The small alternative sets that :mod:`felogit.altsets` enumerates
+faster take them from the enumeration, every other set from the denominator
+recursion in :mod:`felogit._kernels`, which carries them next to log D
+without enumerating, so no C(T, k) is too large. What does not depend on
+beta (the enumerated attribute differences, the other rows' covariates and
+observed attribute sums) is built once per panel, on first use, and kept
+for as long as the panel lives; each evaluation does only the work at beta.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,19 +79,84 @@ def _validate_beta(beta, p: int) -> np.ndarray:
     return beta
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """The beta-free part of one panel's conditional likelihood.
+
+    ``enumerated`` holds, per chunk of :func:`~felogit.altsets.attribute_batches`,
+    the row positions and the differences a_r - a_obs of each alternative's
+    attribute vector from the observed one's, so the observed alternative
+    scores exactly 0. They are stored alternative-major, (C(T, k), p, m) for
+    m rows, so that every sum over the alternatives adds whole rows of
+    individuals. ``rest`` holds the positions of the other informative rows,
+    with their covariates, choice totals and observed attribute sums
+    sum_t y_t x_t.
+    """
+
+    enumerated: list[tuple[np.ndarray, np.ndarray]]
+    rest: np.ndarray
+    covariates: np.ndarray
+    totals: np.ndarray
+    observed: np.ndarray
+
+
+# keyed by the panel itself, so a layout lives exactly as long as its panel
+_LAYOUTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _layout(data: PanelDataset) -> _Layout:
+    """The panel's :class:`_Layout`, built on first use from one enumeration."""
+    layout = _LAYOUTS.get(data)
+    if layout is None:
+        enumerated = []
+        rest = data.informative_mask.copy()
+        for idx, _, attrs, obs_index in attribute_batches(data):
+            diff = attrs - attrs[np.arange(idx.size), obs_index][:, None, :]
+            enumerated.append((idx, np.ascontiguousarray(diff.transpose(1, 2, 0))))
+            rest[idx] = False
+        rows = np.flatnonzero(rest)
+        X = data.covariates[rows]
+        observed = np.einsum("it,itp->ip", data.outcomes[rows].astype(np.float64), X)
+        layout = _LAYOUTS[data] = _Layout(enumerated, rows, X, data.choice_totals[rows], observed)
+    return layout
+
+
+def _alternative_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the leading (alternative) axis, one alternative at a time, so
+    each individual's bits do not depend on how many share its chunk."""
+    out = x[0].copy()
+    for row in x[1:]:
+        out += row
+    return out
+
+
+def _alternative_scores(diff: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """(a_r - a_obs)'beta, (C(T, k), m), summed over the coefficients in order."""
+    s = diff[:, 0] * beta[0]
+    for j in range(1, beta.size):
+        s += diff[:, j] * beta[j]
+    return s
+
+
 def conditional_loglik(data: PanelDataset, beta) -> float:
     """Log-likelihood of the outcome sequences given their choice totals.
 
     Sums, over informative individuals, the observed score minus the log
     denominator; individuals with constant outcomes contribute exactly zero.
+    An enumerated set contributes -log sum_r exp((a_r - a_obs)'beta), every
+    other set its observed score minus the recursion's log D.
     """
     beta = _validate_beta(beta, data.p)
-    mask = data.informative_mask
-    X = data.covariates[mask]
-    Y = data.outcomes[mask].astype(np.float64)
-    S = X @ beta
-    logden, = logdenom_batch(S, X, data.choice_totals[mask], order=0)
-    return float(((Y * S).sum(axis=1) - logden).sum())
+    layout = _layout(data)
+    ll = np.zeros(data.n)
+    for idx, diff in layout.enumerated:
+        s = _alternative_scores(diff, beta)
+        top = s.max(axis=0)  # >= 0: the observed alternative scores 0
+        ll[idx] = -(top + np.log(_alternative_sum(np.exp(s - top))))
+    X = layout.covariates
+    logden, = logdenom_batch(X @ beta, X, layout.totals, order=0)
+    ll[layout.rest] = layout.observed @ beta - logden
+    return float(ll.sum())
 
 
 def conditional_score_and_hessian(data: PanelDataset, beta):
@@ -98,38 +167,31 @@ def conditional_score_and_hessian(data: PanelDataset, beta):
     the small sets of :func:`~felogit.altsets.attribute_batches`, from one
     pass of the recursion for the others. The score is the sum of observed
     minus mean attribute vectors, the Hessian minus the sum of the
-    covariances.
+    covariances. An enumerated covariance sums w (a - mu)(a - mu)', so
+    nothing cancels, formed from sqrt(w) (a - mu) so that it comes out
+    exactly symmetric.
     """
     beta = _validate_beta(beta, data.p)
     n, p = data.n, data.p
-    scores = data.covariates @ beta
+    layout = _layout(data)
     gap = np.zeros((n, p))  # softmax mean minus observed attribute vector
     cov = np.zeros((n, p, p))
-    rest = data.informative_mask.copy()
-    for idx, alts, attrs, obs_index in attribute_batches(data):
-        alt_scores = np.einsum("it,rt->ir", scores[idx], alts)  # the same bits in any chunk
-        gap[idx], cov[idx] = _enumerated_moments(alt_scores, attrs, obs_index)
-        rest[idx] = False
-    X = data.covariates[rest]
-    _, mean, cov[rest] = logdenom_batch(scores[rest], X, data.choice_totals[rest], order=2)
-    gap[rest] = mean - np.einsum("it,itp->ip", data.outcomes[rest].astype(np.float64), X)
+    for idx, diff in layout.enumerated:
+        s = _alternative_scores(diff, beta)
+        w = np.exp(s - s.max(axis=0))
+        w /= _alternative_sum(w)
+        mu = _alternative_sum(w[:, None, :] * diff)
+        gap[idx] = mu.T
+        dev = np.sqrt(w)[:, None, :] * (diff - mu)
+        block = np.empty((p, p, idx.size))
+        with np.errstate(over="ignore"):  # an overflow leaves inf, which _solve_spd reports
+            for j in range(p):
+                block[j, j:] = block[j:, j] = _alternative_sum(dev[:, j:j + 1] * dev[:, j:])
+        cov[idx] = block.transpose(2, 0, 1)
+    X = layout.covariates
+    _, mean, cov[layout.rest] = logdenom_batch(X @ beta, X, layout.totals, order=2)
+    gap[layout.rest] = mean - layout.observed
     return -gap.sum(axis=0), -cov.sum(axis=0)
-
-
-def _enumerated_moments(alt_scores: np.ndarray, attrs: np.ndarray, obs_index: np.ndarray):
-    """Softmax mean minus the observed attribute vector, and covariance.
-
-    ``alt_scores`` (m, r) and ``attrs`` (m, r, p) hold each alternative's
-    score and attribute vector, ``obs_index`` (m,) the observed one. The
-    covariance sums w (a - mu)(a - mu)', so nothing cancels, formed from
-    sqrt(w) (a - mu) so that it comes out exactly symmetric.
-    """
-    w = np.exp(alt_scores - alt_scores.max(axis=1, keepdims=True))
-    w /= w.sum(axis=1, keepdims=True)
-    diff = attrs - attrs[np.arange(attrs.shape[0]), obs_index][:, None, :]
-    gap = np.einsum("ir,irp->ip", w, diff)
-    dev = np.sqrt(w)[:, :, None] * (diff - gap[:, None, :])
-    return gap, np.einsum("irp,irq->ipq", dev, dev)
 
 
 def _solve_spd(neg_hessian: np.ndarray, rhs: np.ndarray):

@@ -12,6 +12,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +24,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     if out is arr or out.base is arr:
         out = out.copy()
-    out.setflags(write=False)
-    return out
+    return _readonly(out)
 
 
-@dataclass(frozen=True)
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class PanelDataset:
     """A validated balanced panel.
 
@@ -37,6 +42,8 @@ class PanelDataset:
     periods : (n, T) int array of period labels, strictly increasing per row.
     covariates : (n, T, p) float array.
     outcomes : (n, T) int array with entries in {0, 1}.
+
+    Equality and hashing are by identity, so a panel can key a weak cache.
     """
 
     ids: np.ndarray
@@ -83,15 +90,16 @@ class PanelDataset:
     def p(self) -> int:
         return self.covariates.shape[2]
 
-    @property
+    @cached_property
     def choice_totals(self) -> np.ndarray:
-        """(n,) array of per-individual outcome sums."""
-        return self.outcomes.sum(axis=1).astype(np.int64)
+        """(n,) read-only array of per-individual outcome sums."""
+        return _readonly(self.outcomes.sum(axis=1).astype(np.int64))
 
-    @property
+    @cached_property
     def informative_mask(self) -> np.ndarray:
+        """(n,) read-only mask of the individuals whose outcomes vary."""
         k = self.choice_totals
-        return (k > 0) & (k < self.T)
+        return _readonly((k > 0) & (k < self.T))
 
     @classmethod
     def from_arrays(cls, covariates, outcomes, ids=None, periods=None) -> "PanelDataset":

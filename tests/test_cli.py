@@ -5,6 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import felogit.cli as cli
 from felogit import cli_report_schema_path
 from felogit.cli import main
 
@@ -334,6 +335,26 @@ def test_fit_with_overflowing_hessian_exits_1(capsys, tmp_path):
 
 
 SIM_ARGS = ("simulate", "--n", "10", "--T", "4", "--p", "2", "--beta0", "2,-1")
+
+
+@pytest.mark.parametrize("args, target", [
+    (SIM_ARGS, "existence_rate"),
+    (("check", "data.csv"), "load_csv"),
+    (("fit", "data.csv"), "load_csv"),
+])
+def test_out_of_memory_exits_1(capsys, monkeypatch, args, target):
+    # raised, never allocated: whether a real attempt fails fast or gets the
+    # process killed depends on the host's overcommit policy
+    message = "Unable to allocate 1.46 TiB for an array with shape (100000000, 2000, 1)"
+
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, target, exhausted)
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert err == f"felogit: error: out of memory: {message}\n"
 
 
 @pytest.mark.parametrize("args", [

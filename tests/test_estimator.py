@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from felogit.altsets import attribute_batches
 from oracles import (
     central_diff_gradient,
     central_diff_jacobian,
+    enum_log_denominator,
     enum_softmax_covariance,
     random_panel,
 )
@@ -363,18 +366,60 @@ def test_hessian_is_bitwise_equal_in_chunks(monkeypatch, budget):
     monkeypatch.setattr(_kernels, "_BATCH_CELL_BUDGET", budget)
     monkeypatch.setattr(_kernels, "_recursion", counted)
     monkeypatch.setattr(estimator, "attribute_batches", listed)
-    chunked = conditional_score_and_hessian(data, beta), conditional_loglik(data, beta)
+    fresh = PanelDataset.from_arrays(x, y)  # a new panel, so its layout is built in chunks
+    chunked = conditional_score_and_hessian(fresh, beta), conditional_loglik(fresh, beta)
     outside = data.informative_mask & (np.arange(data.n) >= 5)  # outside every closed form
     enumerated = np.zeros(data.n, dtype=bool)
     enumerated[np.concatenate(batches)] = True
     assert (outside & enumerated).any() and (outside & ~enumerated).any()
-    # log D recurses every such row, the moments those not enumerated, in chunks
-    assert sum(calls) == outside.sum() + (outside & ~enumerated).sum()
+    # log D and the moments recurse only the rows not enumerated, in chunks
+    assert sum(calls) == 2 * (outside & ~enumerated).sum()
     for sizes in (calls, [b.size for b in batches]):
         assert (max(sizes) == 1) if budget == 1 else (max(sizes) > 1 and len(sizes) > 2)
     for a, b in zip(whole[0], chunked[0]):
         assert np.array_equal(a, b)
     assert whole[1] == chunked[1]
+
+
+def test_fit_enumerates_a_T5_panel_once(monkeypatch):
+    rng = np.random.default_rng(151)
+    x = rng.standard_normal((200, 5, 2))
+    y = (x @ np.array([1.0, -0.5]) + rng.logistic(size=(200, 5)) > 0).astype(np.int8)
+    data = PanelDataset.from_arrays(x, y)
+    calls = []
+
+    def counted(panel):
+        calls.append(panel)
+        return attribute_batches(panel)
+
+    monkeypatch.setattr(estimator, "attribute_batches", counted)
+    result = fit(data)
+    assert result.converged and result.iterations > 2
+    assert len(calls) == 1 and calls[0] is data
+
+
+def test_panels_with_the_same_covariates_keep_their_own_layouts():
+    first = _logit_panel(157)
+    rng = np.random.default_rng(157)
+    y = (rng.random((100, 4)) < 0.5).astype(np.int8)
+    second = PanelDataset.from_arrays(first.covariates, y)
+    assert fit(first).converged
+    beta = rng.standard_normal(2)
+    x = first.covariates
+    expected = sum(y[i] @ x[i] @ beta - enum_log_denominator(x[i], y[i], beta)
+                   for i in range(100) if 0 < y[i].sum() < 4)
+    assert conditional_loglik(second, beta) == pytest.approx(expected, rel=1e-12)
+
+
+def test_layout_is_freed_with_its_panel(monkeypatch):
+    layouts = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(estimator, "_LAYOUTS", layouts)
+    data = _logit_panel(163)
+    conditional_loglik(data, [0.3, -0.2])
+    assert len(layouts) == 1
+    del data
+    gc.collect()
+    assert len(layouts) == 0
 
 
 def test_fit_converges_on_a_T40_k20_panel():

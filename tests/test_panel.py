@@ -160,6 +160,14 @@ def test_dataset_is_immutable(fixture_panel):
         fixture_panel.outcomes[0, 0] = 1
 
 
+def test_choice_totals_and_mask_are_computed_once_and_read_only(fixture_panel):
+    for name in ("choice_totals", "informative_mask"):
+        value = getattr(fixture_panel, name)
+        assert getattr(fixture_panel, name) is value
+        with pytest.raises(ValueError):
+            value[0] = 0
+
+
 def test_duplicate_ids_rejected():
     with pytest.raises(PanelDataError, match="unique"):
         PanelDataset.from_arrays(
