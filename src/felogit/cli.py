@@ -1,10 +1,11 @@
 """Command-line front end: check, fit, pooled-check, simulate.
 
 Exit codes: 0 the estimate exists (or the command succeeded), 1 input or
-usage error (or out of memory), 2 separated data, 3 rank condition failed, 4 ``fit`` did not
-converge: a forced fit on a gated panel, or the ``--max-iter`` cap. JSON
-payloads spell each float as its shortest round-trip ``repr``, so
-parse(serialize(x)) is exact and re-serializing is byte-stable.
+usage error (or out of memory), 2 separated data, 3 rank condition failed,
+4 ``fit`` did not converge: a forced fit on a gated panel, or the
+``--max-iter`` cap. JSON payloads spell each float as its shortest
+round-trip ``repr``, so parse(serialize(x)) is exact and re-serializing is
+byte-stable.
 """
 
 from __future__ import annotations
