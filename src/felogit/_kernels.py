@@ -41,6 +41,13 @@ def active_backend() -> str:
 #   d = h(t-1,m) - h(t-1,m-1) - x_t,
 # the law of total variance, which never subtracts E[aa'] - mu mu'.
 #
+# The accumulators keep rows (individuals) on their last, contiguous axis:
+# f is (k_max+1, rows), h is (k_max+1, p, rows) and C is stored as its upper
+# triangle, (k_max+1, p(p+1)/2, rows), since d_i d_j = d_j d_i exactly. Each
+# (t, m) cell is updated in place, one cell at a time, with whole contiguous
+# rows per operation; at the end every row's k-th cell is gathered and the
+# triangle mirrored to (rows, p, p), so the covariance is exactly symmetric.
+#
 # Rows with k = 0 or k = T need no case of their own. At k = 0 the answer
 # is the start value f(t,0) = 1 with h = C = 0. At k = T each step has
 # f(t-1,m) = 0, so logaddexp(-inf, b) = b gives w1 = 0 and w2 = 1 exactly:
@@ -59,10 +66,13 @@ def logdenom_batch(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarra
 
     Returns the first ``order + 1`` of ``(logden, mean, cov)``: ``logden[i]``
     is log D_i, ``mean[i]`` is d(log D_i)/d(beta) and ``cov[i]`` the (p, p)
-    second derivative. The recursion carries no accumulator beyond
-    ``order``, and the values returned are the same bits whatever ``order``
-    is. It runs over chunks of rows whose largest accumulator block holds at
-    most ``_BATCH_CELL_BUDGET`` cells.
+    second derivative, exactly symmetric. The recursion carries no
+    accumulator beyond ``order``, and the values returned are the same bits
+    whatever ``order`` is. It runs over chunks of rows, each row on the last
+    axis of its accumulators; the largest accumulator a chunk allocates, at
+    (k_max + 1) cells per row at order 0, (k_max + 1) p at order 1 and the
+    (k_max + 1) p(p+1)/2 of the covariance triangle at order 2, holds at most
+    ``_BATCH_CELL_BUDGET`` cells.
     """
     scores = np.ascontiguousarray(scores, dtype=np.float64)
     covariates = np.ascontiguousarray(covariates, dtype=np.float64)
@@ -100,7 +110,8 @@ def logdenom_batch(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarra
     rest = np.flatnonzero(~eq)
     if rest.size:
         kmax = int(totals[rest].max())
-        chunk = max(1, _BATCH_CELL_BUDGET // ((kmax + 1) * p ** order))
+        cells = (kmax + 1) * (1, p, p * (p + 1) // 2)[order]
+        chunk = max(1, _BATCH_CELL_BUDGET // cells)
         for start in range(0, rest.size, chunk):
             part = rest[start:start + chunk]
             moments = _recursion(scores[part], covariates[part], totals[part], order)
@@ -111,32 +122,49 @@ def logdenom_batch(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarra
 
 def _recursion(S: np.ndarray, X: np.ndarray, ks: np.ndarray, order: int):
     """The log-scaled recursion over rows with 0 <= k <= T; returns the first
-    ``order + 1`` accumulators at each row's own k."""
+    ``order + 1`` accumulators at each row's own k, the covariance mirrored
+    from its upper triangle to (rows, p, p)."""
     nr, T = S.shape
     p = X.shape[2]
     kmax = int(ks.max())
-    lf = np.full((nr, kmax + 1), -np.inf)
-    lf[:, 0] = 0.0
-    h = np.zeros((nr, kmax + 1, p)) if order >= 1 else None
-    C = np.zeros((nr, kmax + 1, p, p)) if order >= 2 else None
+    St = np.ascontiguousarray(S.T)                   # (T, rows)
+    Xt = np.ascontiguousarray(X.transpose(1, 2, 0))  # (T, p, rows)
+    lf = np.full((kmax + 1, nr), -np.inf)
+    lf[0] = 0.0
+    h = np.zeros((kmax + 1, p, nr)) if order >= 1 else None
+    iu, ju = np.triu_indices(p)
+    C = np.zeros((kmax + 1, iu.size, nr)) if order >= 2 else None
     for t in range(T):
-        st = S[:, t]
-        xt = X[:, t, :]
+        st = St[t]
+        xt = Xt[t]
         for m in range(min(t + 1, kmax), 0, -1):
-            a = lf[:, m]
-            b = lf[:, m - 1] + st
+            a = lf[m]
+            b = lf[m - 1] + st
             c = np.logaddexp(a, b)
             if order >= 1:
                 w1 = np.exp(a - c)  # a = -inf gives 0; c is finite for m <= t+1
                 w2 = np.exp(b - c)
                 if order >= 2:
-                    d = h[:, m, :] - h[:, m - 1, :] - xt
-                    C[:, m] = (w1[:, None, None] * C[:, m] + w2[:, None, None] * C[:, m - 1]
-                               + (w1 * w2)[:, None, None] * (d[:, :, None] * d[:, None, :]))
-                h[:, m, :] = w1[:, None] * h[:, m, :] + w2[:, None] * (h[:, m - 1, :] + xt)
-            lf[:, m] = c
+                    d = h[m] - h[m - 1] - xt
+                    Cm = C[m]
+                    Cm *= w1
+                    Cm += w2 * C[m - 1]
+                    Cm += (w1 * w2) * (d[iu] * d[ju])
+                hm = h[m]
+                hm *= w1
+                hm += w2 * (h[m - 1] + xt)
+            lf[m] = c
     rows = np.arange(nr)
-    return tuple(acc[rows, ks] for acc in (lf, h, C)[:order + 1])
+    out = [lf[ks, rows]]
+    if order >= 1:
+        out.append(h[ks, :, rows])
+    if order >= 2:
+        tri = C[ks, :, rows]
+        cov = np.empty((nr, p, p))
+        cov[:, iu, ju] = tri
+        cov[:, ju, iu] = tri
+        out.append(cov)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

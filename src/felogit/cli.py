@@ -11,6 +11,7 @@ byte-stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -354,9 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser per process; parse_args keeps no state
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (FelogitError, OSError) as err:

@@ -5,7 +5,10 @@ check: denominators and the softmax covariance of attribute vectors come
 from explicit subset enumeration, derivatives from
 central finite differences, separation verdicts from sign inspection or a
 direction grid or an exact LP feasibility problem, constraint sets and the
-rank at beta = 0 from enumerating every alternative.
+rank at beta = 0 from enumerating every alternative. The one exception is
+:func:`recursion_reference`, a frozen copy of the denominator recursion in
+its earlier rows-first layout, against which the production kernel is
+pinned bit for bit.
 """
 
 from __future__ import annotations
@@ -70,6 +73,38 @@ def enum_softmax_covariance(covariates, outcomes, beta):
     w /= w.sum()
     centered = attrs - w @ attrs
     return (w[:, None] * centered).T @ centered
+
+
+# The kernel's recursion as it was with rows on the first axis and the full
+# (p, p) covariance per cell, kept verbatim as the bit-for-bit reference.
+def recursion_reference(S: np.ndarray, X: np.ndarray, ks: np.ndarray, order: int):
+    """The log-scaled recursion over rows with 0 <= k <= T; returns the first
+    ``order + 1`` accumulators at each row's own k."""
+    nr, T = S.shape
+    p = X.shape[2]
+    kmax = int(ks.max())
+    lf = np.full((nr, kmax + 1), -np.inf)
+    lf[:, 0] = 0.0
+    h = np.zeros((nr, kmax + 1, p)) if order >= 1 else None
+    C = np.zeros((nr, kmax + 1, p, p)) if order >= 2 else None
+    for t in range(T):
+        st = S[:, t]
+        xt = X[:, t, :]
+        for m in range(min(t + 1, kmax), 0, -1):
+            a = lf[:, m]
+            b = lf[:, m - 1] + st
+            c = np.logaddexp(a, b)
+            if order >= 1:
+                w1 = np.exp(a - c)  # a = -inf gives 0; c is finite for m <= t+1
+                w2 = np.exp(b - c)
+                if order >= 2:
+                    d = h[:, m, :] - h[:, m - 1, :] - xt
+                    C[:, m] = (w1[:, None, None] * C[:, m] + w2[:, None, None] * C[:, m - 1]
+                               + (w1 * w2)[:, None, None] * (d[:, :, None] * d[:, None, :]))
+                h[:, m, :] = w1[:, None] * h[:, m, :] + w2[:, None] * (h[:, m - 1, :] + xt)
+            lf[:, m] = c
+    rows = np.arange(nr)
+    return tuple(acc[rows, ks] for acc in (lf, h, C)[:order + 1])
 
 
 def central_diff_gradient(f, x, h=1e-6):

@@ -433,3 +433,16 @@ def test_json_payloads_validate_against_schema(capsys, tmp_path, fixture_path, s
     _, out, _ = run_cli(capsys, *resolved, "--output", "json")
     payload = json.loads(out, parse_constant=_reject_constant)  # no NaN or Infinity
     jsonschema.validate(payload, schema)
+
+
+def test_one_parser_serves_every_call_with_no_option_carried_over(capsys, fixture_path):
+    path = str(fixture_path)
+    assert cli._parser() is cli._parser()
+    code, out, _ = run_cli(capsys, "fit", path, "--force", "--output", "json")
+    assert code == 4 and json.loads(out)["options"]["force"] is True
+    code, out, _ = run_cli(capsys, "fit", path, "--output", "json")
+    assert code == 2 and json.loads(out)["options"]["force"] is False
+    code, out, _ = run_cli(capsys, "check", path, "--tol", "1e-3", "--output", "json")
+    assert code == 2 and json.loads(out)["existence"]["tolerance"] == 1e-3
+    code, out, _ = run_cli(capsys, "check", path, "--output", "json")
+    assert code == 2 and json.loads(out)["existence"]["tolerance"] == 1e-8

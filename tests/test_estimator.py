@@ -340,7 +340,8 @@ def test_hessian_matches_enumerated_softmax_covariance():
 @pytest.mark.parametrize("budget", [1, 500])
 def test_hessian_is_bitwise_equal_in_chunks(monkeypatch, budget):
     # a budget of 1 cell forces one-row chunks; 500 cells gives chunks of a
-    # few rows (each row holds (k_max + 1) * p**2 cells of the covariance)
+    # few rows (each row holds (k_max + 1) * p(p+1)/2 cells of the covariance
+    # triangle, and (k_max + 1) cells of log D)
     rng = np.random.default_rng(139)
     x = rng.standard_normal((60, 9, 3))
     x[:5] = x[:5, :1]  # constant covariates: equal scores at every beta

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from felogit import _kernels
+from oracles import recursion_reference
 
 
 def _random_batch(rng, n=40, T=8, p=3):
@@ -33,6 +34,38 @@ def test_logdenom_orders_return_the_same_bits():
     # one sequence (k = 0 or k = T): no spread
     ends = (totals == 0) | (totals == scores.shape[1])
     assert ends.any() and not full[2][ends].any()
+
+
+def _pinning_batch(rng, T, p):
+    """Two rows for every k in 0..T with scores from |s| ~ 0.01 up to 700,
+    and one row in four with all its scores equal (the closed form)."""
+    totals = np.repeat(np.arange(T + 1), 2)
+    n = totals.size
+    scale = 10.0 ** rng.uniform(-2.0, np.log10(700.0), size=(n, 1))
+    scores = np.clip(rng.standard_normal((n, T)) * scale, -700.0, 700.0)
+    scores[::4] = scores[::4, :1]
+    covariates = rng.standard_normal((n, T, p))
+    return scores, covariates, totals
+
+
+@pytest.mark.parametrize("budget", [1, _kernels._BATCH_CELL_BUDGET])
+@pytest.mark.parametrize("p", [1, 2, 5])
+@pytest.mark.parametrize("T", [4, 14, 30])
+def test_logdenom_matches_the_rows_first_reference_bit_for_bit(monkeypatch, T, p, budget):
+    rng = np.random.default_rng(1000 * T + 10 * p + (budget == 1))
+    batch = _pinning_batch(rng, T, p)
+    monkeypatch.setattr(_kernels, "_BATCH_CELL_BUDGET", budget)
+    for order in (0, 1, 2):
+        got = _kernels.logdenom_batch(*batch, order=order)
+        with monkeypatch.context() as patched:
+            patched.setattr(_kernels, "_recursion", recursion_reference)
+            want = _kernels.logdenom_batch(*batch, order=order)
+        assert len(got) == len(want) == order + 1
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    cov = got[2]
+    assert np.isfinite(cov).all() and cov.any()
+    assert np.array_equal(cov, cov.transpose(0, 2, 1))
 
 
 def test_qp_flags():
