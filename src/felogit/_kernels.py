@@ -68,11 +68,10 @@ def logdenom_batch(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarra
     is log D_i, ``mean[i]`` is d(log D_i)/d(beta) and ``cov[i]`` the (p, p)
     second derivative, exactly symmetric. The recursion carries no
     accumulator beyond ``order``, and the values returned are the same bits
-    whatever ``order`` is. It runs over chunks of rows, each row on the last
-    axis of its accumulators; the largest accumulator a chunk allocates, at
-    (k_max + 1) cells per row at order 0, (k_max + 1) p at order 1 and the
-    (k_max + 1) p(p+1)/2 of the covariance triangle at order 2, holds at most
-    ``_BATCH_CELL_BUDGET`` cells.
+    whatever ``order`` is. It runs over chunks of rows whose largest
+    accumulator holds at most ``_BATCH_CELL_BUDGET`` cells: per row, k_max + 1
+    at order 0, (k_max + 1) p at order 1 and (k_max + 1) p(p+1)/2, the
+    covariance triangle, at order 2.
     """
     scores = np.ascontiguousarray(scores, dtype=np.float64)
     covariates = np.ascontiguousarray(covariates, dtype=np.float64)
