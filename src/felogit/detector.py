@@ -111,20 +111,43 @@ class ExistenceReport:
 
 
 def _dedup_nonzero(rows: np.ndarray) -> QpProblem:
-    """The QP problem over the distinct nonzero ``rows``.
+    """The QP problem over the distinct nonzero ``rows`` (m, p).
 
     Merging duplicates is not just a speed-up: every row carries a weight
     lam >= 1, so a repeated row would change the QP minimum and, for p >= 2,
     the direction (never the verdict), e.g. for a copied individual. The rows
-    come out in lexicographic order, from one lexsort and a comparison of
-    neighbours. Each row is scaled by a power of two (exact) before its norm
-    is taken, so the norm neither overflows nor underflows at any scale.
+    come out in lexicographic order, and of rows that compare equal (-0.0
+    equals 0.0) the first in input order is kept.
+
+    Every step runs on one contiguous column-major copy ``cols`` (p, m), so
+    it sweeps p whole columns rather than m short rows: the nonzero mask is
+    an OR of p column comparisons, and one quicksort of the lead column
+    ``cols[0]`` orders the rows. When the sorted lead column is strictly
+    increasing, that is the only order that sorts it, so it is the
+    lexicographic order and no two rows are equal. When it has a tie
+    (-0.0 against 0.0 too, and always for the pooled test's +-1 intercept),
+    the stable lexsort over all p columns decides the order and the first in
+    input order among equal rows, and duplicates are the neighbours equal in
+    every column. Each row is scaled by the power of two that brings its
+    largest |entry| into [0.5, 1) (exact) before its norm is taken, so the
+    norm neither overflows nor underflows at any scale. The norm sums over
+    the C-ordered rows: a column-by-column sum can round differently for p >= 8.
     """
-    rows = rows[(rows != 0).any(axis=1)]
-    if rows.size:
-        rows = rows[np.lexsort(rows.T[::-1])]
-        rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
-    scaled = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1][:, None])
+    cols = np.ascontiguousarray(rows.T)
+    kept = np.flatnonzero((cols != 0).any(axis=0))
+    lead = cols[0].take(kept)
+    order = np.argsort(lead)
+    lead = lead.take(order)
+    if (lead[1:] > lead[:-1]).all():
+        cols = cols.take(kept.take(order), axis=1)
+    else:
+        cols = cols.take(kept, axis=1)
+        cols = cols.take(np.lexsort(cols[::-1]), axis=1)
+        first = np.ones(cols.shape[1], dtype=bool)
+        np.logical_or.reduce(cols[:, 1:] != cols[:, :-1], axis=0, out=first[1:])
+        cols = cols.compress(first, axis=1)
+    rows = np.ascontiguousarray(cols.T)
+    scaled = np.ldexp(rows, -np.frexp(np.abs(cols).max(axis=0, initial=0.0))[1][:, None])
     return QpProblem(vectors=rows, normalized=scaled / np.linalg.norm(scaled, axis=1)[:, None])
 
 
@@ -162,11 +185,11 @@ def qp_problem_from_pooled(data: PanelDataset) -> QpProblem:
     intercept-augmented covariate vector signed by its outcome.
     """
     n, T, p = data.n, data.T, data.p
-    x = data.covariates.reshape(n * T, p)
-    y = data.outcomes.reshape(n * T).astype(np.float64)
-    signs = 2.0 * y - 1.0
-    rows = signs[:, None] * np.column_stack([np.ones(n * T), x])
-    return _dedup_nonzero(rows)
+    cols = np.empty((p + 1, n * T))  # the rows, built column-major as the dedup reads them
+    np.multiply(data.outcomes.reshape(n * T), 2.0, out=cols[0])
+    cols[0] -= 1.0
+    np.multiply(data.covariates.reshape(n * T, p).T, cols[0], out=cols[1:])
+    return _dedup_nonzero(cols.T)
 
 
 def rank_check(data: PanelDataset) -> RankCheckResult:

@@ -71,7 +71,7 @@ class PanelDataset:
             )
         if not np.isfinite(cov).all():
             raise PanelDataError("covariates must be finite")
-        if not np.isin(y, (0, 1)).all():
+        if not ((y == 0) | (y == 1)).all():
             raise PanelDataError("invalid outcome: outcomes must be 0 or 1")
         object.__setattr__(self, "ids", _frozen(ids))
         object.__setattr__(self, "periods", _frozen(per))
@@ -288,10 +288,9 @@ def informative_subset(data: PanelDataset) -> tuple[PanelDataset, int]:
         raise NoInformativeIndividualsError(
             "no informative individuals: CMLE undefined for every beta"
         )
-    sub = PanelDataset(
-        ids=data.ids[mask],
-        periods=data.periods[mask],
-        covariates=data.covariates[mask],
-        outcomes=data.outcomes[mask],
-    )
+    # rows of a validated panel need no second check: the masked copies are
+    # set on a bare instance, read-only, without going through __post_init__
+    sub = object.__new__(PanelDataset)
+    for name in ("ids", "periods", "covariates", "outcomes"):
+        object.__setattr__(sub, name, _readonly(getattr(data, name)[mask]))
     return sub, dropped

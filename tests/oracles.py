@@ -5,10 +5,11 @@ check: denominators and the softmax covariance of attribute vectors come
 from explicit subset enumeration, derivatives from
 central finite differences, separation verdicts from sign inspection or a
 direction grid or an exact LP feasibility problem, constraint sets and the
-rank at beta = 0 from enumerating every alternative. The one exception is
-:func:`recursion_reference`, a frozen copy of the denominator recursion in
-its earlier rows-first layout, against which the production kernel is
-pinned bit for bit.
+rank at beta = 0 from enumerating every alternative. The exceptions are
+frozen copies of earlier production code against which the current code is
+pinned bit for bit: :func:`recursion_reference`, the denominator recursion
+in its rows-first layout, and :func:`dedup_reference`, the constraint dedup
+as one lexsort over the rows.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from felogit import (
     STATUS_RANK_DEFICIENT,
     STATUS_SEPARATED,
     PanelDataset,
+    QpProblem,
 )
 
 
@@ -105,6 +107,18 @@ def recursion_reference(S: np.ndarray, X: np.ndarray, ks: np.ndarray, order: int
             lf[:, m] = c
     rows = np.arange(nr)
     return tuple(acc[rows, ks] for acc in (lf, h, C)[:order + 1])
+
+
+# detector._dedup_nonzero as it was with a lexsort over all rows, kept
+# verbatim as the bit-for-bit reference.
+def dedup_reference(rows: np.ndarray) -> QpProblem:
+    """The QP problem over the distinct nonzero ``rows``, in lexicographic order."""
+    rows = rows[(rows != 0).any(axis=1)]
+    if rows.size:
+        rows = rows[np.lexsort(rows.T[::-1])]
+        rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+    scaled = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1][:, None])
+    return QpProblem(vectors=rows, normalized=scaled / np.linalg.norm(scaled, axis=1)[:, None])
 
 
 def central_diff_gradient(f, x, h=1e-6):

@@ -15,10 +15,11 @@ from felogit import (
     qp_problem_from_pooled,
     rank_check,
 )
-from felogit import _kernels
+from felogit import _kernels, detector
 from felogit.detector import DEFAULT_KKT_TOL, DEFAULT_QP_MAX_ITER, DEFAULT_QP_TOL, _dedup_nonzero
 
 from oracles import (
+    dedup_reference,
     enum_centered_attributes,
     enum_differences,
     integer_panel,
@@ -388,3 +389,65 @@ def test_verdicts_match_exact_lp_oracle():
                                  f" (qp_min {report.qp_min}), LP {expected}")
     assert not disagreements, "\n".join(disagreements)
     assert counts[STATUS_EXISTS] >= 50 and counts[STATUS_SEPARATED] >= 50
+
+
+def _assert_same_problem(got, want):
+    for a, b in ((got.vectors, want.vectors), (got.normalized, want.normalized)):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.flags.c_contiguous
+        assert a.tobytes() == b.tobytes()
+
+
+_DEDUP_KINDS = ["continuous", "small_integer", "signed_zero_duplicates", "zero_rows", "extreme"]
+
+
+def _dedup_rows(kind, rng, m, p):
+    if kind == "continuous":
+        return rng.standard_normal((m, p))
+    if kind == "small_integer":  # heavy ties in the lead column
+        return rng.integers(-2, 3, size=(m, p)).astype(np.float64)
+    if kind == "signed_zero_duplicates":  # +-0.0 mixes, and every row twice
+        rows = rng.choice([0.0, -0.0, 1.0, -2.5], size=(m, p))
+        rows[m // 2:] = rows[:m - m // 2]
+        return rows[rng.permutation(m)]
+    if kind == "zero_rows":
+        rows = rng.standard_normal((m, p))
+        rows[rng.random(m) < 0.5] = 0.0
+        rows[::3] = -0.0
+        return rows
+    assert kind == "extreme"  # |x| near 1e-300 and 1e300, subnormals and overflow-prone norms
+    exponents = rng.choice([-1.0, 1.0], size=(m, p)) * rng.uniform(295.0, 307.0, size=(m, p))
+    return rng.choice([-1.0, 1.0], size=(m, p)) * 10.0 ** exponents
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("p", [1, 2, 3, 9, 12])
+@pytest.mark.parametrize("kind", _DEDUP_KINDS)
+def test_dedup_matches_the_lexsort_reference_bit_for_bit(kind, p, layout):
+    rng = np.random.default_rng([_DEDUP_KINDS.index(kind), p])
+    for m in (0, 1, 2, 7, 300):
+        rows = np.asarray(_dedup_rows(kind, rng, m, p), order=layout)
+        got = _dedup_nonzero(rows)
+        _assert_same_problem(got, dedup_reference(rows))
+        assert not np.shares_memory(got.vectors, rows)
+
+
+@pytest.mark.parametrize("n, T, p, integer", [
+    (2000, 5, 2, False),   # wide-shaped
+    (60, 14, 3, False),    # long-shaped
+    (300, 6, 2, True),     # ties and duplicate swaps
+])
+def test_constraint_builders_match_the_lexsort_reference(monkeypatch, n, T, p, integer):
+    rng = np.random.default_rng(1000 * T + p)
+    data = random_panel(rng, n=n, T=T, p=p)
+    if integer:
+        data = PanelDataset.from_arrays(np.round(2.0 * data.covariates), data.outcomes)
+    got = qp_problem_from_panel(data)
+    with monkeypatch.context() as patched:
+        patched.setattr(detector, "_dedup_nonzero", dedup_reference)
+        want = qp_problem_from_panel(data)
+    _assert_same_problem(got, want)
+    # the pooled rows as they were built before, row-major
+    signs = 2.0 * data.outcomes.reshape(n * T).astype(np.float64) - 1.0
+    rows = signs[:, None] * np.column_stack([np.ones(n * T), data.covariates.reshape(n * T, p)])
+    _assert_same_problem(qp_problem_from_pooled(data), dedup_reference(rows))

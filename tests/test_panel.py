@@ -147,6 +147,46 @@ def test_informative_subset_idempotent(fixture_panel):
     assert np.array_equal(again.outcomes, sub.outcomes)
 
 
+def test_informative_subset_is_the_validated_panel_of_its_rows(fixture_panel):
+    sub, _ = informative_subset(fixture_panel)
+    mask = fixture_panel.informative_mask
+    built = PanelDataset(ids=fixture_panel.ids[mask], periods=fixture_panel.periods[mask],
+                         covariates=fixture_panel.covariates[mask],
+                         outcomes=fixture_panel.outcomes[mask])
+    assert type(sub) is PanelDataset
+    for name in ("ids", "periods", "covariates", "outcomes"):
+        got, want = getattr(sub, name), getattr(built, name)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+        assert not np.shares_memory(got, getattr(fixture_panel, name))
+        with pytest.raises(ValueError):
+            got.flat[0] = 0
+    assert sub.informative_mask.all()
+
+
+@pytest.mark.parametrize("outcomes", [
+    np.array([[0, 1]], dtype=np.int64),
+    np.array([[0.0, 1.0]]),
+    np.array([[False, True]]),
+    np.array([[0, 1]], dtype=object),
+])
+def test_outcome_dtypes_accepted(outcomes):
+    data = PanelDataset.from_arrays(np.zeros((1, 2, 1)), outcomes)
+    assert data.outcomes.dtype == np.int8
+    assert data.outcomes.tolist() == [[0, 1]]
+
+
+@pytest.mark.parametrize("outcomes", [
+    np.array([[0, 2]]),
+    np.array([[0.0, 0.5]]),
+    np.array([[0.0, np.nan]]),
+    np.array([["0", "1"]]),
+])
+def test_outcomes_outside_zero_one_rejected(outcomes):
+    with pytest.raises(PanelDataError, match="outcomes must be 0 or 1"):
+        PanelDataset.from_arrays(np.zeros((1, 2, 1)), outcomes)
+
+
 def test_no_informative_individuals_is_an_error():
     data = PanelDataset.from_arrays(np.zeros((2, 3, 1)), np.zeros((2, 3), dtype=int))
     with pytest.raises(NoInformativeIndividualsError, match="no informative individuals"):
