@@ -126,29 +126,36 @@ def _dedup_nonzero(rows: np.ndarray) -> QpProblem:
     increasing, that is the only order that sorts it, so it is the
     lexicographic order and no two rows are equal. When it has a tie
     (-0.0 against 0.0 too, and always for the pooled test's +-1 intercept),
-    the stable lexsort over all p columns decides the order and the first in
-    input order among equal rows, and duplicates are the neighbours equal in
-    every column. Each row is scaled by the power of two that brings its
-    largest |entry| into [0.5, 1) (exact) before its norm is taken, so the
-    norm neither overflows nor underflows at any scale. The norm sums over
-    the C-ordered rows: a column-by-column sum can round differently for p >= 8.
+    the stable lexsort over all p columns decides the order and which of the
+    equal rows comes first, and duplicates are the neighbours equal in every
+    column. Each row is scaled by the power of two that brings its largest
+    |entry|, a maximum over the p columns, into [0.5, 1) (exact) before its
+    norm is taken, so the norm neither overflows nor underflows at any
+    scale. The norm sums over the C-ordered rows: a column-by-column sum can
+    round differently for p >= 8.
     """
-    cols = np.ascontiguousarray(rows.T)
-    kept = np.flatnonzero((cols != 0).any(axis=0))
-    lead = cols[0].take(kept)
-    order = np.argsort(lead)
-    lead = lead.take(order)
-    if (lead[1:] > lead[:-1]).all():
-        cols = cols.take(kept.take(order), axis=1)
-    else:
-        cols = cols.take(kept, axis=1)
-        cols = cols.take(np.lexsort(cols[::-1]), axis=1)
-        first = np.ones(cols.shape[1], dtype=bool)
-        np.logical_or.reduce(cols[:, 1:] != cols[:, :-1], axis=0, out=first[1:])
-        cols = cols.compress(first, axis=1)
+    cols = _sorted_distinct(np.ascontiguousarray(rows.T))
+    exps = np.frexp(np.abs(cols).max(axis=0, initial=0.0))[1]
     rows = np.ascontiguousarray(cols.T)
-    scaled = np.ldexp(rows, -np.frexp(np.abs(cols).max(axis=0, initial=0.0))[1][:, None])
-    return QpProblem(vectors=rows, normalized=scaled / np.linalg.norm(scaled, axis=1)[:, None])
+    normalized = np.ldexp(rows, -exps[:, None])
+    del cols, exps  # freed before the norm allocates its temporaries: a lower peak
+    normalized /= np.linalg.norm(normalized, axis=1)[:, None]
+    return QpProblem(vectors=rows, normalized=normalized)
+
+
+def _sorted_distinct(cols: np.ndarray) -> np.ndarray:
+    """The distinct nonzero columns of ``cols`` (p, m), in lexicographic order."""
+    nonzero = (cols != 0).any(axis=0)
+    if not nonzero.all():
+        cols = cols.compress(nonzero, axis=1)
+    order = np.argsort(cols[0])
+    lead = cols[0].take(order)
+    if (lead[1:] > lead[:-1]).all():
+        return cols.take(order, axis=1)
+    cols = cols.take(np.lexsort(cols[::-1]), axis=1)
+    first = np.ones(cols.shape[1], dtype=bool)
+    np.logical_or.reduce(cols[:, 1:] != cols[:, :-1], axis=0, out=first[1:])
+    return cols.compress(first, axis=1)
 
 
 def qp_problem_from_panel(data: PanelDataset) -> QpProblem:
