@@ -415,7 +415,7 @@ def _dedup_rows(kind, rng, m, p):
         rows[rng.random(m) < 0.5] = 0.0
         rows[::3] = -0.0
         return rows
-    assert kind == "extreme"  # |x| near 1e-300 and 1e300, subnormals and overflow-prone norms
+    assert kind == "extreme"  # |x| near 1e-300 and 1e300, whose unscaled squares under- and overflow
     exponents = rng.choice([-1.0, 1.0], size=(m, p)) * rng.uniform(295.0, 307.0, size=(m, p))
     return rng.choice([-1.0, 1.0], size=(m, p)) * 10.0 ** exponents
 
