@@ -173,6 +173,8 @@ def _recursion(S: np.ndarray, X: np.ndarray, ks: np.ndarray, order: int):
 # method (Lawson & Hanson 1974, ch. 23) solves exactly in finitely many steps.
 # ---------------------------------------------------------------------------
 
+_TINY = np.finfo(np.float64).tiny
+
 
 def qp_minimize(W: np.ndarray, tol: float, kkt_tol: float, max_iter: int):
     """Lawson-Hanson solve. Returns (lam, q, u, iters, flag, viol).
@@ -187,37 +189,43 @@ def qp_minimize(W: np.ndarray, tol: float, kkt_tol: float, max_iter: int):
     ``QP_MAXITER`` when ``max_iter`` outer steps decided neither.
     """
     W = np.ascontiguousarray(W, dtype=np.float64)
-    m = W.shape[0]
     b = W.sum(axis=0)
-    free = np.zeros(0, dtype=np.intp)
+    neg_b = -b
+    free = []  # indices of the free columns, in the order of mu
     mu = np.zeros(0)
     it = 0
     while True:
-        u = b + mu @ W[free]
+        u = b + mu @ W.take(free, axis=0)  # kept with no free column: b + 0.0 is not b at b = -0.0
         q = float(u @ u)
-        lam = np.ones(m)
-        lam[free] += mu
         if q <= tol:
-            return lam, q, u, it, QP_ZERO, 0.0
+            return _lam(W.shape[0], free, mu), q, u, it, QP_ZERO, 0.0
         wu = (W @ u) / math.sqrt(q)
-        j = int(np.argmin(wu))
+        j = int(wu.argmin())
         viol = max(-float(wu[j]), 0.0)
         if viol <= 0.5 * kkt_tol:
-            return lam, q, u, it, QP_STATIONARY, viol
+            return _lam(W.shape[0], free, mu), q, u, it, QP_STATIONARY, viol
         if it >= max_iter:
-            return lam, q, u, it, QP_MAXITER, viol
+            return _lam(W.shape[0], free, mu), q, u, it, QP_MAXITER, viol
         it += 1
-        free = np.append(free, j)
-        mu = np.append(mu, 0.0)
+        free.append(j)
+        mu = np.concatenate((mu, (0.0,)))
         while True:
-            s = np.linalg.lstsq(W[free].T, -b, rcond=None)[0]
+            s = np.linalg.lstsq(W.take(free, axis=0).T, neg_b, rcond=None)[0]
             if (s > 0.0).all():
                 mu = s
                 break
             neg = np.flatnonzero(s <= 0.0)
-            ratio = mu[neg] / np.maximum(mu[neg] - s[neg], np.finfo(np.float64).tiny)
+            ratio = mu[neg] / np.maximum(mu[neg] - s[neg], _TINY)
             k = int(np.argmin(ratio))
             mu = mu + ratio[k] * (s - mu)
             mu[neg[k]] = 0.0
             keep = mu > 0.0
-            free, mu = free[keep], mu[keep]
+            free = [f for f, kept in zip(free, keep) if kept]
+            mu = mu[keep]
+
+
+def _lam(m: int, free: list, mu: np.ndarray) -> np.ndarray:
+    """The (m,) weights: 1 on every bound column, 1 + mu on the free ones."""
+    lam = np.ones(m)
+    lam[free] += mu
+    return lam

@@ -126,13 +126,18 @@ def _dedup_nonzero(rows: np.ndarray) -> QpProblem:
     increasing, that is the only order that sorts it, so it is the
     lexicographic order and no two rows are equal. When it has a tie
     (-0.0 against 0.0 too, and always for the pooled test's +-1 intercept),
-    the stable lexsort over all p columns decides the order and which of the
-    equal rows comes first, and duplicates are the neighbours equal in every
-    column. Each row is scaled by the power of two that brings its largest
-    |entry|, a maximum over the p columns, into [0.5, 1) (exact) before its
-    norm is taken, so the norm neither overflows nor underflows at any
-    scale. The norm sums over the C-ordered rows: a column-by-column sum can
-    round differently for p >= 8.
+    a quicksort of the second column followed by a stable sort of the lead
+    column orders the rows by those two columns; when the second column is
+    strictly increasing within every run of equal leads, that again is the
+    only such order, lexicographic, with no two rows equal. Otherwise (p = 1,
+    or a tie in both columns, -0.0 against 0.0 included) the stable lexsort
+    over all p columns decides the order and which of the equal rows comes
+    first, and duplicates are the neighbours equal in every column. Each row
+    is scaled by the power of two that brings its largest |entry|, a maximum
+    over the p columns, into [0.5, 1) (exact) before its norm is taken, so
+    the norm neither overflows nor underflows at any scale. The norm sums
+    over the C-ordered rows: a column-by-column sum can round differently
+    for p >= 8.
     """
     cols = _sorted_distinct(np.ascontiguousarray(rows.T))
     exps = np.frexp(np.abs(cols).max(axis=0, initial=0.0))[1]
@@ -152,6 +157,12 @@ def _sorted_distinct(cols: np.ndarray) -> np.ndarray:
     lead = cols[0].take(order)
     if (lead[1:] > lead[:-1]).all():
         return cols.take(order, axis=1)
+    if cols.shape[0] > 1:
+        order = np.argsort(cols[1])
+        order = order.take(np.argsort(cols[0].take(order), kind="stable"))
+        lead, second = cols[0].take(order), cols[1].take(order)
+        if ((lead[1:] > lead[:-1]) | (second[1:] > second[:-1])).all():
+            return cols.take(order, axis=1)
     cols = cols.take(np.lexsort(cols[::-1]), axis=1)
     first = np.ones(cols.shape[1], dtype=bool)
     np.logical_or.reduce(cols[:, 1:] != cols[:, :-1], axis=0, out=first[1:])
@@ -164,25 +175,25 @@ def qp_problem_from_panel(data: PanelDataset) -> QpProblem:
     One row per (informative individual, single swap) pair holding
     x_s - x_t for a period s with y_s = 0 and a period t with y_t = 1: the
     difference vector of the alternative that moves one choice from t to s.
-    Individuals are grouped by choice total k; a stable argsort of each
-    outcome row lists the T - k zero periods before the k one periods.
-    Individuals with constant outcomes have no swaps. Exact zeros (a
-    covariate equal in both periods) are dropped and duplicates merged.
+    All swaps come from one ``np.nonzero`` over the (n, T, T) mask
+    y_s < y_t, which costs n T^2 bytes, and two gathers of the covariate
+    columns. Individuals are taken in a stable order of their choice totals,
+    so rows are listed by choice total, then individual, then s, then t;
+    the dedup keeps the first of rows that compare equal, so this order
+    decides which of a signed-zero pair survives. Individuals with constant
+    outcomes have no swaps. Exact zeros (a covariate equal in both periods)
+    are dropped and duplicates merged.
     """
     T, p = data.T, data.p
-    totals = data.choice_totals
-    blocks = []
-    for k in np.unique(totals):
-        if not 0 < k < T:
-            continue
-        members = totals == k
-        X = data.covariates[members]
-        order = np.argsort(data.outcomes[members], axis=1, kind="stable")[:, :, None]
-        zeros = np.take_along_axis(X, order[:, :T - k], axis=1)  # (n_k, T - k, p)
-        ones = np.take_along_axis(X, order[:, T - k:], axis=1)   # (n_k, k, p)
-        blocks.append((zeros[:, :, None, :] - ones[:, None, :, :]).reshape(-1, p))
-    rows = np.concatenate(blocks, axis=0) if blocks else np.zeros((0, p))
-    return _dedup_nonzero(rows)
+    order = np.argsort(data.choice_totals, kind="stable")
+    y = data.outcomes[order]
+    i, s, t = np.nonzero(y[:, :, None] < y[:, None, :])
+    first = order.take(i) * T  # row of period 0 of the swap's individual
+    X = data.covariates.reshape(-1, p).T  # (p, n T) view: gathers come out column-major
+    cols = X.take(first + s, axis=1)
+    cols -= X.take(first + t, axis=1)
+    del i, s, t, first  # freed before the dedup allocates: a lower peak
+    return _dedup_nonzero(cols.T)
 
 
 def qp_problem_from_pooled(data: PanelDataset) -> QpProblem:

@@ -102,6 +102,20 @@ class PanelDataset:
         return _readonly((k > 0) & (k < self.T))
 
     @classmethod
+    def _unchecked(cls, ids, periods, covariates, outcomes) -> "PanelDataset":
+        """A panel of arrays that are valid by construction, set read-only on
+        a bare instance without :meth:`__post_init__`'s checks and copies.
+
+        The arrays must already have the dtypes, shapes and C order that
+        ``__post_init__`` gives (int64, int64, float64, int8) and must not be
+        shared with anything that writes to them."""
+        data = object.__new__(cls)
+        for name, arr in zip(("ids", "periods", "covariates", "outcomes"),
+                             (ids, periods, covariates, outcomes)):
+            object.__setattr__(data, name, _readonly(arr))
+        return data
+
+    @classmethod
     def from_arrays(cls, covariates, outcomes, ids=None, periods=None) -> "PanelDataset":
         """Build a panel from raw (n, T, p) covariates and (n, T) outcomes."""
         cov = np.asarray(covariates, dtype=np.float64)
@@ -288,9 +302,7 @@ def informative_subset(data: PanelDataset) -> tuple[PanelDataset, int]:
         raise NoInformativeIndividualsError(
             "no informative individuals: CMLE undefined for every beta"
         )
-    # rows of a validated panel need no second check: the masked copies are
-    # set on a bare instance, read-only, without going through __post_init__
-    sub = object.__new__(PanelDataset)
-    for name in ("ids", "periods", "covariates", "outcomes"):
-        object.__setattr__(sub, name, _readonly(getattr(data, name)[mask]))
+    # rows of a validated panel need no second check
+    sub = PanelDataset._unchecked(data.ids[mask], data.periods[mask],
+                                  data.covariates[mask], data.outcomes[mask])
     return sub, dropped

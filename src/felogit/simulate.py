@@ -67,7 +67,11 @@ def generate_panel(config: SimConfig, rep: int = 0) -> PanelDataset:
     noise = rng.logistic(size=(n, T))
     latent = x @ np.ldexp(config.beta0, -e) + effects[:, None] + np.ldexp(noise, -e)
     y = (latent > 0).astype(np.int8)
-    return PanelDataset.from_arrays(x, y)
+    # valid by construction: finite x, 0/1 outcomes, fresh arrays of the
+    # panel's own dtypes, so the checks and copies of from_arrays are skipped
+    ids = np.arange(1, n + 1, dtype=np.int64)
+    periods = np.tile(np.arange(1, T + 1, dtype=np.int64), (n, 1))
+    return PanelDataset._unchecked(ids, periods, x, y)
 
 
 @dataclass(frozen=True)

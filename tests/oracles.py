@@ -8,8 +8,10 @@ direction grid or an exact LP feasibility problem, constraint sets and the
 rank at beta = 0 from enumerating every alternative. The exceptions are
 frozen copies of earlier production code against which the current code is
 pinned bit for bit: :func:`recursion_reference`, the denominator recursion
-in its rows-first layout, and :func:`dedup_reference`, the constraint dedup
-as one lexsort over the rows.
+in its rows-first layout, :func:`dedup_reference`, the constraint dedup
+as one lexsort over the rows, :func:`swaps_reference`, the panel constraint
+builder with one block per choice total, and :func:`qp_reference`, the
+Lawson-Hanson solver with its bookkeeping in arrays.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from felogit import (
     PanelDataset,
     QpProblem,
 )
+from felogit._kernels import QP_MAXITER, QP_STATIONARY, QP_ZERO
+from felogit.detector import _dedup_nonzero
 
 
 def enum_denominator(covariates, outcomes, beta):
@@ -119,6 +123,76 @@ def dedup_reference(rows: np.ndarray) -> QpProblem:
         rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
     scaled = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1][:, None])
     return QpProblem(vectors=rows, normalized=scaled / np.linalg.norm(scaled, axis=1)[:, None])
+
+
+# detector.qp_problem_from_panel as it was with one block of swaps per choice
+# total, kept verbatim as the bit-for-bit reference.
+def swaps_reference(data: PanelDataset) -> QpProblem:
+    """Constraint vectors of the panel separation test.
+
+    One row per (informative individual, single swap) pair holding
+    x_s - x_t for a period s with y_s = 0 and a period t with y_t = 1: the
+    difference vector of the alternative that moves one choice from t to s.
+    Individuals are grouped by choice total k; a stable argsort of each
+    outcome row lists the T - k zero periods before the k one periods.
+    Individuals with constant outcomes have no swaps. Exact zeros (a
+    covariate equal in both periods) are dropped and duplicates merged.
+    """
+    T, p = data.T, data.p
+    totals = data.choice_totals
+    blocks = []
+    for k in np.unique(totals):
+        if not 0 < k < T:
+            continue
+        members = totals == k
+        X = data.covariates[members]
+        order = np.argsort(data.outcomes[members], axis=1, kind="stable")[:, :, None]
+        zeros = np.take_along_axis(X, order[:, :T - k], axis=1)  # (n_k, T - k, p)
+        ones = np.take_along_axis(X, order[:, T - k:], axis=1)   # (n_k, k, p)
+        blocks.append((zeros[:, :, None, :] - ones[:, None, :, :]).reshape(-1, p))
+    rows = np.concatenate(blocks, axis=0) if blocks else np.zeros((0, p))
+    return _dedup_nonzero(rows)
+
+
+# _kernels.qp_minimize as it was with the free set and lam kept in arrays on
+# every step, kept verbatim as the bit-for-bit reference.
+def qp_reference(W: np.ndarray, tol: float, kkt_tol: float, max_iter: int):
+    """Lawson-Hanson solve. Returns (lam, q, u, iters, flag, viol)."""
+    W = np.ascontiguousarray(W, dtype=np.float64)
+    m = W.shape[0]
+    b = W.sum(axis=0)
+    free = np.zeros(0, dtype=np.intp)
+    mu = np.zeros(0)
+    it = 0
+    while True:
+        u = b + mu @ W[free]
+        q = float(u @ u)
+        lam = np.ones(m)
+        lam[free] += mu
+        if q <= tol:
+            return lam, q, u, it, QP_ZERO, 0.0
+        wu = (W @ u) / math.sqrt(q)
+        j = int(np.argmin(wu))
+        viol = max(-float(wu[j]), 0.0)
+        if viol <= 0.5 * kkt_tol:
+            return lam, q, u, it, QP_STATIONARY, viol
+        if it >= max_iter:
+            return lam, q, u, it, QP_MAXITER, viol
+        it += 1
+        free = np.append(free, j)
+        mu = np.append(mu, 0.0)
+        while True:
+            s = np.linalg.lstsq(W[free].T, -b, rcond=None)[0]
+            if (s > 0.0).all():
+                mu = s
+                break
+            neg = np.flatnonzero(s <= 0.0)
+            ratio = mu[neg] / np.maximum(mu[neg] - s[neg], np.finfo(np.float64).tiny)
+            k = int(np.argmin(ratio))
+            mu = mu + ratio[k] * (s - mu)
+            mu[neg[k]] = 0.0
+            keep = mu > 0.0
+            free, mu = free[keep], mu[keep]
 
 
 def central_diff_gradient(f, x, h=1e-6):
@@ -220,6 +294,20 @@ def integer_panel(rng) -> PanelDataset:
         k = y.sum(axis=1)
         if ((k > 0) & (k < T)).any():
             return PanelDataset.from_arrays(x, y)
+
+
+def every_total_panel(rng, T, p, signed_zeros, per_total=2) -> PanelDataset:
+    """Panel with ``per_total`` individuals for every choice total 0..T, in
+    shuffled order, with random outcome sequences. Covariates are standard
+    normal, or with ``signed_zeros`` drawn from {-1, -0.0, 0.0, 1}, whose
+    swaps mix -0.0 and 0.0 and repeat."""
+    y = np.zeros(((T + 1) * per_total, T), dtype=np.int8)
+    for i, k in enumerate(np.repeat(np.arange(T + 1), per_total)):
+        y[i, rng.permutation(T)[:k]] = 1
+    y = y[rng.permutation(y.shape[0])]
+    shape = (y.shape[0], T, p)
+    x = rng.choice([-1.0, -0.0, 0.0, 1.0], size=shape) if signed_zeros else rng.standard_normal(shape)
+    return PanelDataset.from_arrays(x, y)
 
 
 def pooled_separable_grid(xs, ys, n_angles=7200) -> bool:

@@ -22,11 +22,14 @@ from oracles import (
     dedup_reference,
     enum_centered_attributes,
     enum_differences,
+    every_total_panel,
     integer_panel,
     lp_verdict,
     pooled_separable_grid,
+    qp_reference,
     random_panel,
     sign_oracle_p1,
+    swaps_reference,
 )
 
 
@@ -398,7 +401,9 @@ def _assert_same_problem(got, want):
         assert a.tobytes() == b.tobytes()
 
 
-_DEDUP_KINDS = ["continuous", "small_integer", "signed_zero_duplicates", "zero_rows", "extreme"]
+_DEDUP_KINDS = ["continuous", "small_integer", "signed_zero_duplicates", "zero_rows", "extreme",
+                "pooled", "signed_zero_lead", "second_column_ties", "second_column_signed_zeros",
+                "pooled_duplicates"]
 
 
 def _dedup_rows(kind, rng, m, p):
@@ -415,9 +420,24 @@ def _dedup_rows(kind, rng, m, p):
         rows[rng.random(m) < 0.5] = 0.0
         rows[::3] = -0.0
         return rows
-    assert kind == "extreme"  # |x| near 1e-300 and 1e300, whose unscaled squares under- and overflow
-    exponents = rng.choice([-1.0, 1.0], size=(m, p)) * rng.uniform(295.0, 307.0, size=(m, p))
-    return rng.choice([-1.0, 1.0], size=(m, p)) * 10.0 ** exponents
+    if kind == "extreme":  # |x| near 1e-300 and 1e300, whose unscaled squares under- and overflow
+        exponents = rng.choice([-1.0, 1.0], size=(m, p)) * rng.uniform(295.0, 307.0, size=(m, p))
+        return rng.choice([-1.0, 1.0], size=(m, p)) * 10.0 ** exponents
+    # a tied lead column, as the pooled test's +-1 intercept (at p = 1 nothing
+    # else decides); the second column decides the order unless it ties too
+    rows = rng.standard_normal((m, p))
+    rows[:, 0] = rng.choice([-1.0, 1.0], size=m)
+    if kind == "signed_zero_lead":
+        rows[:, 0] = rng.choice([-0.0, 0.0, 1.0], size=m)
+    if kind == "second_column_ties" and p > 1:
+        rows[:, 1] = rng.integers(-2, 3, size=m)
+    if kind == "second_column_signed_zeros" and p > 1:
+        rows[rng.random(m) < 0.3, 1] = 0.0
+        rows[rng.random(m) < 0.3, 1] = -0.0
+    if kind == "pooled_duplicates":
+        rows[m // 2:] = rows[:m - m // 2]
+        rows = rows[rng.permutation(m)]
+    return rows
 
 
 @pytest.mark.parametrize("layout", ["C", "F"])
@@ -451,3 +471,58 @@ def test_constraint_builders_match_the_lexsort_reference(monkeypatch, n, T, p, i
     signs = 2.0 * data.outcomes.reshape(n * T).astype(np.float64) - 1.0
     rows = signs[:, None] * np.column_stack([np.ones(n * T), data.covariates.reshape(n * T, p)])
     _assert_same_problem(qp_problem_from_pooled(data), dedup_reference(rows))
+
+
+_SWAP_CASES = [f"T={T}, p={p}" for T in (1, 2, 4, 5, 14, 30) for p in (1, 2, 5)] + ["n=1", "constant"]
+
+
+def _swap_panels(case):
+    """Panels of one case, each with signed-zero and with normal covariates."""
+    rng = np.random.default_rng(_SWAP_CASES.index(case))
+    panels = []
+    for signed_zeros in (True, False):
+        if case in ("n=1", "constant"):
+            data = every_total_panel(rng, 5, 2, signed_zeros, per_total=1)
+            k = data.choice_totals
+            keep = k == 3 if case == "n=1" else (k == 0) | (k == 5)  # the second has no swaps
+            panels.append(PanelDataset.from_arrays(data.covariates[keep], data.outcomes[keep]))
+        else:
+            T, p = (int(v.split("=")[1]) for v in case.split(", "))
+            panels.append(every_total_panel(rng, T, p, signed_zeros))
+    return panels
+
+
+@pytest.mark.parametrize("case", _SWAP_CASES)
+def test_swap_builder_matches_the_per_choice_total_reference_bit_for_bit(case):
+    for data in _swap_panels(case):
+        got = qp_problem_from_panel(data)
+        _assert_same_problem(got, swaps_reference(data))
+        if case == "constant":
+            assert got.vectors.shape == (0, data.p)
+
+
+def _bits(value):
+    arr = np.asarray(value)
+    return type(value), arr.dtype, arr.shape, arr.tobytes()
+
+
+def _qp_inputs(case):
+    if case == "separated unit rows":  # rows in one half-space; 4 of the 20 solves step back
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            W = rng.standard_normal((60, 5))
+            W[:, 0] = np.abs(W[:, 0])
+            yield W / np.linalg.norm(W, axis=1)[:, None]
+        return
+    for data in _swap_panels(case):
+        yield qp_problem_from_panel(data).normalized
+        yield qp_problem_from_pooled(data).normalized
+
+
+@pytest.mark.parametrize("case", _SWAP_CASES + ["separated unit rows"])
+def test_qp_minimize_matches_the_array_bookkeeping_reference_bit_for_bit(case):
+    for W in _qp_inputs(case):
+        for max_iter in (0, 1, DEFAULT_QP_MAX_ITER):
+            args = (W, DEFAULT_QP_TOL, DEFAULT_KKT_TOL, max_iter)
+            got, want = _kernels.qp_minimize(*args), qp_reference(*args)
+            assert [_bits(v) for v in got] == [_bits(v) for v in want]

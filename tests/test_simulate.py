@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from felogit import SimConfig, existence_rate, generate_panel
+from felogit import PanelDataset, SimConfig, existence_rate, generate_panel
 
 
 def test_same_seed_and_rep_reproduce_the_panel():
@@ -36,6 +36,25 @@ def test_huge_coefficients_do_not_overflow_the_latent_index():
     data = generate_panel(config)
     x = data.covariates
     assert np.array_equal(data.outcomes, x[..., 0] > x[..., 1])
+
+
+@pytest.mark.parametrize("config", [
+    SimConfig(n=10, T=4, p=2, beta0=np.array([2.0, -1.0]), seed=3),
+    SimConfig(n=50, T=3, p=2, beta0=np.array([1e308, -1e308]), seed=0),
+    SimConfig(n=6, T=5, p=3, beta0=np.array([0.5, 0.0, -1.0]), effect_scale=0.0, seed=1),
+])
+def test_generated_panel_is_the_validated_panel_of_its_draws(config):
+    # generate_panel skips the checks and copies of from_arrays; what it
+    # builds must be what from_arrays builds from the same draws
+    for rep in range(3):
+        data = generate_panel(config, rep)
+        built = PanelDataset.from_arrays(data.covariates, data.outcomes)
+        assert type(data) is PanelDataset
+        for name in ("ids", "periods", "covariates", "outcomes"):
+            got, want = getattr(data, name), getattr(built, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous and not got.flags.writeable and not want.flags.writeable
+            assert np.array_equal(got, want)
 
 
 def test_config_validation():
