@@ -44,8 +44,11 @@ def active_backend() -> str:
 # The accumulators keep rows (individuals) on their last, contiguous axis:
 # f is (k_max+1, rows), h is (k_max+1, p, rows) and C is stored as its upper
 # triangle, (k_max+1, p(p+1)/2, rows), since d_i d_j = d_j d_i exactly. Each
-# (t, m) cell is updated in place, one cell at a time, with whole contiguous
-# rows per operation; at the end every row's k-th cell is gathered and the
+# period t updates its cells m = 1..min(t+1, k_max) at once, with slices over
+# m and whole contiguous rows per operation; every step-(t-1) value it needs
+# is read before any cell is written, so each cell sees the same operands in
+# the same order as a cell-by-cell update. The triangle of d d' is built by p
+# slice multiplies. At the end every row's k-th cell is gathered and the
 # triangle mirrored to (rows, p, p), so the covariance is exactly symmetric.
 #
 # Rows with k = 0 or k = T need no case of their own. At k = 0 the answer
@@ -57,7 +60,7 @@ def active_backend() -> str:
 # for a covariate that is constant over time.
 # ---------------------------------------------------------------------------
 
-_BATCH_CELL_BUDGET = 4_000_000  # cap on the cells of the largest accumulator block
+_BATCH_CELL_BUDGET = 4_000_000  # cap on the cells of one chunk's accumulators, counted twice
 
 
 def logdenom_batch(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarray,
@@ -68,34 +71,29 @@ def logdenom_batch(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarra
     is log D_i, ``mean[i]`` is d(log D_i)/d(beta) and ``cov[i]`` the (p, p)
     second derivative, exactly symmetric. The recursion carries no
     accumulator beyond ``order``, and the values returned are the same bits
-    whatever ``order`` is. It runs over chunks of rows whose largest
-    accumulator holds at most ``_BATCH_CELL_BUDGET`` cells: per row, k_max + 1
-    at order 0, (k_max + 1) p at order 1 and (k_max + 1) p(p+1)/2, the
-    covariance triangle, at order 2.
+    whatever ``order`` is. It runs over chunks of rows whose accumulators,
+    counted twice for the per-step temporaries of the update over m, hold at
+    most ``_BATCH_CELL_BUDGET`` cells: per row, k_max + 1 for log f, plus
+    (k_max + 1) p for the mean from order 1 and (k_max + 1) p(p+1)/2 for the
+    covariance triangle at order 2.
     """
     scores = np.ascontiguousarray(scores, dtype=np.float64)
     covariates = np.ascontiguousarray(covariates, dtype=np.float64)
     totals = np.asarray(totals, dtype=np.int64)
     n, T = scores.shape
     p = covariates.shape[2]
-    logden = np.zeros(n)
-    mean = np.zeros((n, p))
-    cov = np.zeros((n, p, p))
-    out = (logden, mean, cov)[:order + 1]
+    out = (np.zeros(n), np.zeros((n, p)), np.zeros((n, p, p)))[:order + 1]
     if n == 0:
         return out
 
     eq = np.all(scores == scores[:, :1], axis=1)
     if eq.any():
-        ke = totals[eq].astype(np.float64)
+        k = totals[eq]
         Tf = float(T)
-        lcomb = (
-            math.lgamma(Tf + 1.0)
-            - np.array([math.lgamma(v + 1.0) for v in ke])
-            - np.array([math.lgamma(Tf - v + 1.0) for v in ke])
-        )
-        logden[eq] = lcomb + ke * scores[eq, 0]
-        mean[eq] = (ke / Tf)[:, None] * covariates[eq].sum(axis=1)
+        lfact = np.array([math.lgamma(j + 1.0) for j in range(T + 1)])  # log j!
+        out[0][eq] = lfact[T] - lfact[k] - lfact[T - k] + k * scores[eq, 0]
+        if order >= 1:
+            out[1][eq] = (k / Tf)[:, None] * covariates[eq].sum(axis=1)
         if order >= 2:
             # uniform over the C(T,k) sequences: k(T-k)/(T(T-1)) Xc'Xc, with Xc
             # demeaned from differences, so a covariate constant over time
@@ -103,13 +101,13 @@ def logdenom_batch(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarra
             # k(T-k) = 0 and the max only avoids 0/0)
             diffs = covariates[eq] - covariates[eq, :1]
             Xc = diffs - diffs.mean(axis=1, keepdims=True)
-            weight = ke * (Tf - ke) / (Tf * max(Tf - 1.0, 1.0))
-            cov[eq] = weight[:, None, None] * np.einsum("itp,itq->ipq", Xc, Xc)
+            weight = k * (Tf - k) / (Tf * max(Tf - 1.0, 1.0))
+            out[2][eq] = weight[:, None, None] * np.einsum("itp,itq->ipq", Xc, Xc)
 
     rest = np.flatnonzero(~eq)
     if rest.size:
         kmax = int(totals[rest].max())
-        cells = (kmax + 1) * (1, p, p * (p + 1) // 2)[order]
+        cells = 2 * (kmax + 1) * (1, 1 + p, 1 + p + p * (p + 1) // 2)[order]
         chunk = max(1, _BATCH_CELL_BUDGET // cells)
         for start in range(0, rest.size, chunk):
             part = rest[start:start + chunk]
@@ -127,32 +125,35 @@ def _recursion(S: np.ndarray, X: np.ndarray, ks: np.ndarray, order: int):
     p = X.shape[2]
     kmax = int(ks.max())
     St = np.ascontiguousarray(S.T)                   # (T, rows)
-    Xt = np.ascontiguousarray(X.transpose(1, 2, 0))  # (T, p, rows)
     lf = np.full((kmax + 1, nr), -np.inf)
     lf[0] = 0.0
+    Xt = np.ascontiguousarray(X.transpose(1, 2, 0)) if order >= 1 else None  # (T, p, rows)
     h = np.zeros((kmax + 1, p, nr)) if order >= 1 else None
     iu, ju = np.triu_indices(p)
     C = np.zeros((kmax + 1, iu.size, nr)) if order >= 2 else None
     for t in range(T):
-        st = St[t]
-        xt = Xt[t]
-        for m in range(min(t + 1, kmax), 0, -1):
-            a = lf[m]
-            b = lf[m - 1] + st
-            c = np.logaddexp(a, b)
-            if order >= 1:
-                w1 = np.exp(a - c)  # a = -inf gives 0; c is finite for m <= t+1
-                w2 = np.exp(b - c)
-                if order >= 2:
-                    d = h[m] - h[m - 1] - xt
-                    Cm = C[m]
-                    Cm *= w1
-                    Cm += w2 * C[m - 1]
-                    Cm += (w1 * w2) * (d[iu] * d[ju])
-                hm = h[m]
-                hm *= w1
-                hm += w2 * (h[m - 1] + xt)
-            lf[m] = c
+        M = min(t + 1, kmax)  # cells m = 1..M; m - 1 reads the step-(t-1) values
+        a = lf[1:M + 1]
+        b = lf[:M] + St[t]
+        c = np.logaddexp(a, b)
+        if order >= 1:
+            w1 = np.exp(a - c)[:, None]  # a = -inf gives 0; c is finite for m <= t+1
+            w2 = np.exp(b - c)[:, None]
+            xt = Xt[t]
+            if order >= 2:
+                d = h[1:M + 1] - h[:M] - xt
+                step = w2 * C[:M]
+                Cm = C[1:M + 1]
+                Cm *= w1
+                Cm += step
+                for i, j in enumerate(np.flatnonzero(iu == ju)):  # row i starts at (i, i)
+                    np.multiply(d[:, i:i + 1], d[:, i:], out=step[:, j:j + p - i])
+                step *= w1 * w2
+                Cm += step
+            step = w2 * (h[:M] + xt)
+            h[1:M + 1] *= w1
+            h[1:M + 1] += step
+        lf[1:M + 1] = c
     rows = np.arange(nr)
     out = [lf[ks, rows]]
     if order >= 1:

@@ -10,7 +10,9 @@ recursion in :mod:`felogit._kernels`, which carries them next to log D
 without enumerating, so no C(T, k) is too large. What does not depend on
 beta (the enumerated attribute differences, the other rows' covariates and
 observed attribute sums) is built once per panel, on first use, and kept
-for as long as the panel lives; each evaluation does only the work at beta.
+for as long as the panel lives; each evaluation does only the work at beta,
+and gives value, score and Hessian from one enumerated and one recursion
+pass, so Newton pays one pass per line-search trial.
 """
 
 from __future__ import annotations
@@ -138,60 +140,63 @@ def _alternative_scores(diff: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return s
 
 
+def _evaluate(data: PanelDataset, beta, order: int):
+    """``(loglik,)`` at ``order`` 0 and ``(loglik, score, hessian)`` at 2, at
+    beta, from one pass over the enumerated sets and one recursion pass.
+
+    An enumerated set contributes -log sum_r exp((a_r - a_obs)'beta), every
+    other set its observed score minus the recursion's log D, and each its
+    observed minus its softmax mean attribute vector to the score and minus
+    its softmax covariance to the Hessian. An enumerated covariance sums
+    w (a - mu)(a - mu)', so nothing cancels, formed from sqrt(w) (a - mu) so
+    that it comes out exactly symmetric.
+    """
+    beta = _validate_beta(beta, data.p)
+    n, p = data.n, data.p
+    layout = _layout(data)
+    ll = np.zeros(n)
+    gap = np.zeros((n, p))  # softmax mean minus observed attribute vector
+    cov = np.zeros((n, p, p))
+    for idx, diff in layout.enumerated:
+        s = _alternative_scores(diff, beta)
+        top = s.max(axis=0)  # >= 0: the observed alternative scores 0
+        w = np.exp(s - top)
+        total = _alternative_sum(w)
+        ll[idx] = -(top + np.log(total))
+        if order:
+            w /= total
+            mu = _alternative_sum(w[:, None, :] * diff)
+            gap[idx] = mu.T
+            dev = np.sqrt(w)[:, None, :] * (diff - mu)
+            block = np.empty((p, p, idx.size))
+            with np.errstate(over="ignore"):  # an overflow leaves inf, which _solve_spd reports
+                for j in range(p):
+                    block[j, j:] = block[j:, j] = _alternative_sum(dev[:, j:j + 1] * dev[:, j:])
+            cov[idx] = block.transpose(2, 0, 1)
+    X = layout.covariates
+    moments = logdenom_batch(X @ beta, X, layout.totals, order=order)
+    ll[layout.rest] = layout.observed @ beta - moments[0]
+    if not order:
+        return float(ll.sum()),
+    gap[layout.rest] = moments[1] - layout.observed
+    cov[layout.rest] = moments[2]
+    return float(ll.sum()), -gap.sum(axis=0), -cov.sum(axis=0)
+
+
 def conditional_loglik(data: PanelDataset, beta) -> float:
     """Log-likelihood of the outcome sequences given their choice totals.
 
     Sums, over informative individuals, the observed score minus the log
     denominator; individuals with constant outcomes contribute exactly zero.
-    An enumerated set contributes -log sum_r exp((a_r - a_obs)'beta), every
-    other set its observed score minus the recursion's log D.
     """
-    beta = _validate_beta(beta, data.p)
-    layout = _layout(data)
-    ll = np.zeros(data.n)
-    for idx, diff in layout.enumerated:
-        s = _alternative_scores(diff, beta)
-        top = s.max(axis=0)  # >= 0: the observed alternative scores 0
-        ll[idx] = -(top + np.log(_alternative_sum(np.exp(s - top))))
-    X = layout.covariates
-    logden, = logdenom_batch(X @ beta, X, layout.totals, order=0)
-    ll[layout.rest] = layout.observed @ beta - logden
-    return float(ll.sum())
+    return _evaluate(data, beta, 0)[0]
 
 
 def conditional_score_and_hessian(data: PanelDataset, beta):
-    """Score vector and Hessian matrix of the conditional log-likelihood.
-
-    Each informative individual contributes the softmax mean and covariance
-    of its attribute vectors over its alternative sequences: enumerated for
-    the small sets of :func:`~felogit.altsets.attribute_batches`, from one
-    pass of the recursion for the others. The score is the sum of observed
-    minus mean attribute vectors, the Hessian minus the sum of the
-    covariances. An enumerated covariance sums w (a - mu)(a - mu)', so
-    nothing cancels, formed from sqrt(w) (a - mu) so that it comes out
-    exactly symmetric.
-    """
-    beta = _validate_beta(beta, data.p)
-    n, p = data.n, data.p
-    layout = _layout(data)
-    gap = np.zeros((n, p))  # softmax mean minus observed attribute vector
-    cov = np.zeros((n, p, p))
-    for idx, diff in layout.enumerated:
-        s = _alternative_scores(diff, beta)
-        w = np.exp(s - s.max(axis=0))
-        w /= _alternative_sum(w)
-        mu = _alternative_sum(w[:, None, :] * diff)
-        gap[idx] = mu.T
-        dev = np.sqrt(w)[:, None, :] * (diff - mu)
-        block = np.empty((p, p, idx.size))
-        with np.errstate(over="ignore"):  # an overflow leaves inf, which _solve_spd reports
-            for j in range(p):
-                block[j, j:] = block[j:, j] = _alternative_sum(dev[:, j:j + 1] * dev[:, j:])
-        cov[idx] = block.transpose(2, 0, 1)
-    X = layout.covariates
-    _, mean, cov[layout.rest] = logdenom_batch(X @ beta, X, layout.totals, order=2)
-    gap[layout.rest] = mean - layout.observed
-    return -gap.sum(axis=0), -cov.sum(axis=0)
+    """Score vector and Hessian matrix of the conditional log-likelihood,
+    from the softmax mean and covariance of each informative individual's
+    attribute vectors over its alternative sequences."""
+    return _evaluate(data, beta, 2)[1:]
 
 
 def _solve_spd(neg_hessian: np.ndarray, rhs: np.ndarray):
@@ -229,7 +234,9 @@ def fit(data: PanelDataset, force: bool = False, *,
     log-likelihood and stops when the sup-norm of the score drops below
     ``DEFAULT_GRAD_TOL`` (1e-8). When the predicted gain of a step is within
     the round-off of the log-likelihood, the Armijo test cannot see it, and
-    the full step is taken untested. Standard errors come from the inverse
+    the full step is taken untested. Each line-search trial is evaluated in
+    one pass that gives its log-likelihood, score and Hessian, so an accepted
+    trial is never evaluated again. Standard errors come from the inverse
     observed information at the estimate, where the last Newton iterate's
     score and Hessian are reused.
 
@@ -245,6 +252,8 @@ def fit(data: PanelDataset, force: bool = False, *,
             raise NonexistenceError("estimate does not exist (separated)", report=gate)
         raise NonexistenceError("rank condition failed", report=gate)
 
+    # the start goes through the public views, which perfbench's tracer wraps;
+    # at beta = 0 every recursed row takes the closed form, so this costs little
     beta = np.zeros(data.p)
     ll = conditional_loglik(data, beta)
     score, hessian = conditional_score_and_hessian(data, beta)
@@ -264,7 +273,7 @@ def fit(data: PanelDataset, force: bool = False, *,
         alpha = 1.0
         while True:
             cand = beta + alpha * delta
-            ll_c = conditional_loglik(data, cand)
+            ll_c, score_c, hessian_c = _evaluate(data, cand, 2)
             if flat or ll_c >= ll + _ARMIJO * alpha * slope:
                 break
             alpha *= _SHRINK
@@ -273,9 +282,8 @@ def fit(data: PanelDataset, force: bool = False, *,
         if alpha < 1e-16 and ll_c < ll:
             trace.append(NewtonStep(it, ll, score_sup, 0.0, float(np.linalg.norm(beta))))
             break  # line search stalled; report non-convergence honestly
-        beta, ll = cand, ll_c
+        beta, ll, score, hessian = cand, ll_c, score_c, hessian_c
         trace.append(NewtonStep(it, ll, score_sup, alpha, float(np.linalg.norm(beta))))
-        score, hessian = conditional_score_and_hessian(data, beta)
 
     score_sup = float(np.abs(score).max())
     converged = score_sup <= DEFAULT_GRAD_TOL

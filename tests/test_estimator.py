@@ -271,23 +271,58 @@ def test_newton_converges_when_gains_fall_below_loglik_roundoff():
     assert result.iterations < 20
 
 
+def _long_panel(seed: int) -> PanelDataset:
+    """An n=200, T=14, p=3 logit panel: its sets with k in {1, 12, 13} are
+    enumerated, the others recursed."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((200, 14, 3))
+    effects = rng.standard_normal(200)
+    noise = rng.logistic(size=(200, 14))
+    y = (x @ np.array([1.0, -0.5, 0.25]) + effects[:, None] + noise > 0).astype(np.int8)
+    return PanelDataset.from_arrays(x, y)
+
+
 def test_fit_evaluates_score_and_hessian_once_per_iterate(monkeypatch):
-    calls = []
-    evaluate = estimator.conditional_score_and_hessian
+    evaluations, recursions = [], []
+    evaluate, recursion = estimator._evaluate, _kernels._recursion
 
-    def counted(data, beta):
-        calls.append(np.array(beta, dtype=float))
-        return evaluate(data, beta)
+    def counted(data, beta, order):
+        evaluations.append((order, np.array(beta, dtype=float)))
+        return evaluate(data, beta, order)
 
-    monkeypatch.setattr(estimator, "conditional_score_and_hessian", counted)
-    for seed in (32, 33, 34):
-        calls.clear()
-        result = fit(_logit_panel(seed))
+    def recursed(S, X, ks, order):
+        recursions.append(order)
+        return recursion(S, X, ks, order)
+
+    monkeypatch.setattr(estimator, "_evaluate", counted)
+    monkeypatch.setattr(_kernels, "_recursion", recursed)
+    for data in (_logit_panel(32), _logit_panel(33), _logit_panel(34), _long_panel(35)):
+        evaluations.clear()
+        recursions.clear()
+        result = fit(data)
         assert result.converged
         assert result.iterations >= 3
-        assert len(calls) == result.iterations
-        # no iterate is evaluated twice
-        assert len({c.tobytes() for c in calls}) == len(calls)
+        # each trial is evaluated once, at order 2, and kept when accepted;
+        # the only value-only evaluation is the start's, at beta = 0
+        assert [(o, b.any()) for o, b in evaluations if o != 2] == [(0, False)]
+        trials = [b for o, b in evaluations if o == 2]
+        assert len(trials) == result.iterations
+        assert len({b.tobytes() for b in trials}) == len(trials)
+        if data.T == 14:
+            # beta = 0 takes the closed form; every other beta one recursion pass
+            assert recursions == [2] * sum(b.any() for b in trials)
+
+
+def test_loglik_is_the_same_bits_at_every_order():
+    rng = np.random.default_rng(36)
+    for seed in (36, 37):
+        data = _long_panel(seed)
+        layout = estimator._layout(data)
+        assert layout.enumerated and layout.rest.size
+        for beta in (np.zeros(3), rng.standard_normal(3), 3.0 * rng.standard_normal(3)):
+            value, = estimator._evaluate(data, beta, 0)
+            assert estimator._evaluate(data, beta, 2)[0] == value
+            assert conditional_loglik(data, beta) == value
 
 
 @pytest.mark.parametrize("max_iter", [0, 2])
@@ -340,8 +375,8 @@ def test_hessian_matches_enumerated_softmax_covariance():
 @pytest.mark.parametrize("budget", [1, 500])
 def test_hessian_is_bitwise_equal_in_chunks(monkeypatch, budget):
     # a budget of 1 cell forces one-row chunks; 500 cells gives chunks of a
-    # few rows (each row holds (k_max + 1) * p(p+1)/2 cells of the covariance
-    # triangle, and (k_max + 1) cells of log D)
+    # few rows (each row counts 2 (k_max + 1) cells for log D and, at order 2,
+    # 2 (k_max + 1)(1 + p + p(p+1)/2) for log D, mean and covariance triangle)
     rng = np.random.default_rng(139)
     x = rng.standard_normal((60, 9, 3))
     x[:5] = x[:5, :1]  # constant covariates: equal scores at every beta

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,24 +38,28 @@ def test_logdenom_orders_return_the_same_bits():
     assert ends.any() and not full[2][ends].any()
 
 
-def _pinning_batch(rng, T, p):
+def _pinning_batch(rng, T, p, kmax=None):
     """Two rows for every k in 0..T with scores from |s| ~ 0.01 up to 700,
-    and one row in four with all its scores equal (the closed form)."""
+    and one row in four with all its scores equal (the closed form). With
+    ``kmax``, the rows with unequal scores have their totals capped at it."""
     totals = np.repeat(np.arange(T + 1), 2)
     n = totals.size
     scale = 10.0 ** rng.uniform(-2.0, np.log10(700.0), size=(n, 1))
     scores = np.clip(rng.standard_normal((n, T)) * scale, -700.0, 700.0)
     scores[::4] = scores[::4, :1]
+    if kmax is not None:
+        totals[np.arange(n) % 4 != 0] = np.minimum(totals[np.arange(n) % 4 != 0], kmax)
     covariates = rng.standard_normal((n, T, p))
     return scores, covariates, totals
 
 
+@pytest.mark.parametrize("kmax", [None, 0, 1])
 @pytest.mark.parametrize("budget", [1, _kernels._BATCH_CELL_BUDGET])
 @pytest.mark.parametrize("p", [1, 2, 5])
-@pytest.mark.parametrize("T", [4, 14, 30])
-def test_logdenom_matches_the_rows_first_reference_bit_for_bit(monkeypatch, T, p, budget):
+@pytest.mark.parametrize("T", [1, 2, 4, 14, 30])
+def test_logdenom_matches_the_rows_first_reference_bit_for_bit(monkeypatch, T, p, budget, kmax):
     rng = np.random.default_rng(1000 * T + 10 * p + (budget == 1))
-    batch = _pinning_batch(rng, T, p)
+    batch = _pinning_batch(rng, T, p, kmax)
     monkeypatch.setattr(_kernels, "_BATCH_CELL_BUDGET", budget)
     for order in (0, 1, 2):
         got = _kernels.logdenom_batch(*batch, order=order)
@@ -63,9 +69,27 @@ def test_logdenom_matches_the_rows_first_reference_bit_for_bit(monkeypatch, T, p
         assert len(got) == len(want) == order + 1
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
-    cov = got[2]
-    assert np.isfinite(cov).all() and cov.any()
+    cov, totals = got[2], batch[2]
+    assert np.isfinite(cov).all()
+    assert cov.any() == ((0 < totals) & (totals < T)).any()
     assert np.array_equal(cov, cov.transpose(0, 2, 1))
+
+
+def test_order_2_peak_memory_stays_at_its_cell_by_cell_level():
+    # n=20 000, T=30, p=3 is several chunks of the default budget; the
+    # cell-by-cell recursion peaked at 94.75 MB here, and updating every m at
+    # once with chunks sized for the covariance triangle alone at 182 MB
+    rng = np.random.default_rng(113)
+    covariates = rng.standard_normal((20_000, 30, 3))
+    scores = covariates @ np.array([1.0, -0.5, 0.25])
+    totals = rng.integers(0, 31, size=20_000)
+    tracemalloc.start()
+    try:
+        _kernels.logdenom_batch(scores, covariates, totals, order=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 94.75e6
 
 
 def test_qp_flags():
