@@ -60,7 +60,7 @@ def active_backend() -> str:
 # for a covariate that is constant over time.
 # ---------------------------------------------------------------------------
 
-_BATCH_CELL_BUDGET = 4_000_000  # cap on the cells of one chunk's accumulators, counted twice
+_BATCH_CELL_BUDGET = 150_000  # cells per chunk, so that a recursion step stays in cache
 
 
 def logdenom_batch(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarray,
@@ -130,6 +130,7 @@ def _recursion(S: np.ndarray, X: np.ndarray, ks: np.ndarray, order: int):
     Xt = np.ascontiguousarray(X.transpose(1, 2, 0)) if order >= 1 else None  # (T, p, rows)
     h = np.zeros((kmax + 1, p, nr)) if order >= 1 else None
     iu, ju = np.triu_indices(p)
+    starts = np.flatnonzero(iu == ju)  # row i of the triangle starts at (i, i)
     C = np.zeros((kmax + 1, iu.size, nr)) if order >= 2 else None
     for t in range(T):
         M = min(t + 1, kmax)  # cells m = 1..M; m - 1 reads the step-(t-1) values
@@ -146,7 +147,7 @@ def _recursion(S: np.ndarray, X: np.ndarray, ks: np.ndarray, order: int):
                 Cm = C[1:M + 1]
                 Cm *= w1
                 Cm += step
-                for i, j in enumerate(np.flatnonzero(iu == ju)):  # row i starts at (i, i)
+                for i, j in enumerate(starts):
                     np.multiply(d[:, i:i + 1], d[:, i:], out=step[:, j:j + p - i])
                 step *= w1 * w2
                 Cm += step

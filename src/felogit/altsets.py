@@ -4,8 +4,8 @@ For an individual with T periods and choice total k, the alternative set is
 every binary sequence of length T summing to k, in lexicographic order. The
 softmax moments over that set cost about C(T, k) (T + p) operations when
 the set is enumerated, against T k p^2 for the denominator recursion in
-:mod:`felogit._kernels`, which also pays a Python-level step per (t, m).
-Measured with numpy, enumeration is the faster of the two up to
+:mod:`felogit._kernels`, which also pays a Python-level step per period.
+Measured with numpy, enumeration was the faster of the two up to
 C(T, k) (T + p) <= 8 T k p, so the estimator enumerates those sets (every
 set at T <= 5; k in {1, 12, 13} at T = 14, p = 3) and leaves the rest, of
 any size, to the recursion. The estimator enumerates each panel once and
@@ -24,11 +24,11 @@ from . import _kernels
 from .panel import PanelDataset
 
 # Measured when every Newton iterate rebuilt the enumeration, against the
-# recursion's earlier rows-first layout. The estimator now builds the
-# enumeration once per panel, which favours it further, and the rows-last
-# recursion is faster, which favours recursing; the crossover is kept as
-# measured all the same, because moving a set from one path to the other
-# changes the last bits of beta-hat. It has not been re-measured since.
+# recursion's earlier rows-first layout with a Python step per (t, m). The
+# estimator now builds the enumeration once per panel, which favours it, and
+# the rows-last recursion that advances every m of a period at once is much
+# faster, which favours recursing. The crossover is unchanged on purpose:
+# moving a set from one path to the other changes the last bits of beta-hat.
 _ENUMERATION_ADVANTAGE = 8
 
 

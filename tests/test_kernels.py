@@ -48,7 +48,8 @@ def _pinning_batch(rng, T, p, kmax=None):
     scores = np.clip(rng.standard_normal((n, T)) * scale, -700.0, 700.0)
     scores[::4] = scores[::4, :1]
     if kmax is not None:
-        totals[np.arange(n) % 4 != 0] = np.minimum(totals[np.arange(n) % 4 != 0], kmax)
+        unequal = np.arange(n) % 4 != 0
+        totals[unequal] = np.minimum(totals[unequal], kmax)
     covariates = rng.standard_normal((n, T, p))
     return scores, covariates, totals
 
@@ -76,9 +77,9 @@ def test_logdenom_matches_the_rows_first_reference_bit_for_bit(monkeypatch, T, p
 
 
 def test_order_2_peak_memory_stays_at_its_cell_by_cell_level():
-    # n=20 000, T=30, p=3 is several chunks of the default budget; the
-    # cell-by-cell recursion peaked at 94.75 MB here, and updating every m at
-    # once with chunks sized for the covariance triangle alone at 182 MB
+    # the cell-by-cell recursion, with chunks of 4 000 000 triangle cells,
+    # peaked at 94.75 MB here, and updating every m at once with the same
+    # chunks at 182 MB
     rng = np.random.default_rng(113)
     covariates = rng.standard_normal((20_000, 30, 3))
     scores = covariates @ np.array([1.0, -0.5, 0.25])
