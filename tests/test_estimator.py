@@ -375,8 +375,9 @@ def test_hessian_matches_enumerated_softmax_covariance():
 @pytest.mark.parametrize("budget", [1, 500])
 def test_hessian_is_bitwise_equal_in_chunks(monkeypatch, budget):
     # a budget of 1 cell forces one-row chunks; 500 cells gives chunks of a
-    # few rows (each row counts 2 (k_max + 1) cells for log D and, at order 2,
-    # 2 (k_max + 1)(1 + p + p(p+1)/2) for log D, mean and covariance triangle)
+    # few rows (each row counts 2 (k_max + 1) cells at order 0 and
+    # 2 (k_max + 1)(1 + p + p(p+1)/2) at order 2, for log D, mean and the
+    # covariance triangle)
     rng = np.random.default_rng(139)
     x = rng.standard_normal((60, 9, 3))
     x[:5] = x[:5, :1]  # constant covariates: equal scores at every beta

@@ -54,10 +54,10 @@ def _pinning_batch(rng, T, p, kmax=None):
     return scores, covariates, totals
 
 
-@pytest.mark.parametrize("kmax", [None, 0, 1])
 @pytest.mark.parametrize("budget", [1, _kernels._BATCH_CELL_BUDGET])
 @pytest.mark.parametrize("p", [1, 2, 5])
-@pytest.mark.parametrize("T", [1, 2, 4, 14, 30])
+@pytest.mark.parametrize("T, kmax", [pytest.param(T, None, id=str(T)) for T in (1, 2, 4, 14, 30)]
+                         + [pytest.param(T, k, id=f"{T}-kmax{k}") for T in (4, 14, 30) for k in (0, 1)])
 def test_logdenom_matches_the_rows_first_reference_bit_for_bit(monkeypatch, T, p, budget, kmax):
     rng = np.random.default_rng(1000 * T + 10 * p + (budget == 1))
     batch = _pinning_batch(rng, T, p, kmax)
