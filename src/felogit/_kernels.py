@@ -64,25 +64,25 @@ _BATCH_CELL_BUDGET = 150_000  # cells per chunk, so that a recursion step stays 
 
 
 def logdenom_batch(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarray,
-                   order: int = 1):
+                   order: int = 2):
     """Vectorized recursion. scores (n,T), covariates (n,T,p), totals (n,).
 
-    Returns the first ``order + 1`` of ``(logden, mean, cov)``: ``logden[i]``
-    is log D_i, ``mean[i]`` is d(log D_i)/d(beta) and ``cov[i]`` the (p, p)
-    second derivative, exactly symmetric. The recursion carries no
-    accumulator beyond ``order``, and the values returned are the same bits
-    whatever ``order`` is. It runs over chunks of rows whose accumulators,
-    counted twice for the per-step temporaries of the update over m, hold at
-    most ``_BATCH_CELL_BUDGET`` cells: per row, k_max + 1 for log f, plus
-    (k_max + 1) p for the mean from order 1 and (k_max + 1) p(p+1)/2 for the
-    covariance triangle at order 2.
+    ``order`` is 0 or 2. Order 2 returns ``(logden, mean, cov)``:
+    ``logden[i]`` is log D_i, ``mean[i]`` is d(log D_i)/d(beta) and
+    ``cov[i]`` the (p, p) second derivative, exactly symmetric. Order 0
+    returns ``(logden,)`` alone and carries no other accumulator; its log D
+    is the same bits as order 2's. The recursion runs over chunks of rows
+    whose accumulators, counted twice for the per-step temporaries of the
+    update over m, hold at most ``_BATCH_CELL_BUDGET`` cells: per row,
+    k_max + 1 for log f, plus (k_max + 1) p for the mean and
+    (k_max + 1) p(p+1)/2 for the covariance triangle at order 2.
     """
     scores = np.ascontiguousarray(scores, dtype=np.float64)
     covariates = np.ascontiguousarray(covariates, dtype=np.float64)
     totals = np.asarray(totals, dtype=np.int64)
     n, T = scores.shape
     p = covariates.shape[2]
-    out = (np.zeros(n), np.zeros((n, p)), np.zeros((n, p, p)))[:order + 1]
+    out = (np.zeros(n), np.zeros((n, p)), np.zeros((n, p, p))) if order else (np.zeros(n),)
     if n == 0:
         return out
 
@@ -92,9 +92,8 @@ def logdenom_batch(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarra
         Tf = float(T)
         lfact = np.array([math.lgamma(j + 1.0) for j in range(T + 1)])  # log j!
         out[0][eq] = lfact[T] - lfact[k] - lfact[T - k] + k * scores[eq, 0]
-        if order >= 1:
+        if order:
             out[1][eq] = (k / Tf)[:, None] * covariates[eq].sum(axis=1)
-        if order >= 2:
             # uniform over the C(T,k) sequences: k(T-k)/(T(T-1)) Xc'Xc, with Xc
             # demeaned from differences, so a covariate constant over time
             # gives exactly zero instead of demeaning round-off (at T = 1,
@@ -107,7 +106,7 @@ def logdenom_batch(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarra
     rest = np.flatnonzero(~eq)
     if rest.size:
         kmax = int(totals[rest].max())
-        cells = 2 * (kmax + 1) * (1, 1 + p, 1 + p + p * (p + 1) // 2)[order]
+        cells = 2 * (kmax + 1) * (1 + p + p * (p + 1) // 2 if order else 1)
         chunk = max(1, _BATCH_CELL_BUDGET // cells)
         for start in range(0, rest.size, chunk):
             part = rest[start:start + chunk]
@@ -118,54 +117,51 @@ def logdenom_batch(scores: np.ndarray, covariates: np.ndarray, totals: np.ndarra
 
 
 def _recursion(S: np.ndarray, X: np.ndarray, ks: np.ndarray, order: int):
-    """The log-scaled recursion over rows with 0 <= k <= T; returns the first
-    ``order + 1`` accumulators at each row's own k, the covariance mirrored
-    from its upper triangle to (rows, p, p)."""
+    """The log-scaled recursion over rows with 0 <= k <= T; returns log f at
+    each row's own k and, when ``order`` is nonzero, the mean and the
+    covariance there, mirrored from its upper triangle to (rows, p, p)."""
     nr, T = S.shape
     p = X.shape[2]
     kmax = int(ks.max())
     St = np.ascontiguousarray(S.T)                   # (T, rows)
     lf = np.full((kmax + 1, nr), -np.inf)
     lf[0] = 0.0
-    Xt = np.ascontiguousarray(X.transpose(1, 2, 0)) if order >= 1 else None  # (T, p, rows)
-    h = np.zeros((kmax + 1, p, nr)) if order >= 1 else None
-    iu, ju = np.triu_indices(p)
-    starts = np.flatnonzero(iu == ju)  # row i of the triangle starts at (i, i)
-    C = np.zeros((kmax + 1, iu.size, nr)) if order >= 2 else None
+    if order:
+        Xt = np.ascontiguousarray(X.transpose(1, 2, 0))  # (T, p, rows)
+        h = np.zeros((kmax + 1, p, nr))
+        iu, ju = np.triu_indices(p)
+        starts = np.flatnonzero(iu == ju)  # row i of the triangle starts at (i, i)
+        C = np.zeros((kmax + 1, iu.size, nr))
     for t in range(T):
         M = min(t + 1, kmax)  # cells m = 1..M; m - 1 reads the step-(t-1) values
         a = lf[1:M + 1]
         b = lf[:M] + St[t]
         c = np.logaddexp(a, b)
-        if order >= 1:
+        if order:
             w1 = np.exp(a - c)[:, None]  # a = -inf gives 0; c is finite for m <= t+1
             w2 = np.exp(b - c)[:, None]
             xt = Xt[t]
-            if order >= 2:
-                d = h[1:M + 1] - h[:M] - xt
-                step = w2 * C[:M]
-                Cm = C[1:M + 1]
-                Cm *= w1
-                Cm += step
-                for i, j in enumerate(starts):
-                    np.multiply(d[:, i:i + 1], d[:, i:], out=step[:, j:j + p - i])
-                step *= w1 * w2
-                Cm += step
+            d = h[1:M + 1] - h[:M] - xt
+            step = w2 * C[:M]
+            Cm = C[1:M + 1]
+            Cm *= w1
+            Cm += step
+            for i, j in enumerate(starts):
+                np.multiply(d[:, i:i + 1], d[:, i:], out=step[:, j:j + p - i])
+            step *= w1 * w2
+            Cm += step
             step = w2 * (h[:M] + xt)
             h[1:M + 1] *= w1
             h[1:M + 1] += step
         lf[1:M + 1] = c
     rows = np.arange(nr)
-    out = [lf[ks, rows]]
-    if order >= 1:
-        out.append(h[ks, :, rows])
-    if order >= 2:
-        tri = C[ks, :, rows]
-        cov = np.empty((nr, p, p))
-        cov[:, iu, ju] = tri
-        cov[:, ju, iu] = tri
-        out.append(cov)
-    return tuple(out)
+    if not order:
+        return (lf[ks, rows],)
+    tri = C[ks, :, rows]
+    cov = np.empty((nr, p, p))
+    cov[:, iu, ju] = tri
+    cov[:, ju, iu] = tri
+    return lf[ks, rows], h[ks, :, rows], cov
 
 
 # ---------------------------------------------------------------------------

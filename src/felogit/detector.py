@@ -19,7 +19,6 @@ scale-free.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -40,7 +39,11 @@ DEFAULT_QP_MAX_ITER = 100_000
 
 @dataclass(frozen=True)
 class ProbeRank:
-    """Singular values and numerical rank of the rank test at one beta value."""
+    """Singular values and numerical rank of the stacked period differences.
+
+    ``beta`` is always zero: the differences, and so the spectrum, do not
+    depend on beta.
+    """
 
     beta: np.ndarray
     singular_values: np.ndarray
@@ -51,8 +54,8 @@ class ProbeRank:
 class RankCheckResult:
     """Outcome of the rank condition.
 
-    ``probes`` holds a single entry at beta = 0. Its rank is the exact rank
-    of the within-individual covariate variation, which is the rank of the
+    ``probes`` holds a single entry. Its rank is the exact rank of the
+    within-individual covariate variation, which is the rank of the
     softmax-centered attribute matrix at every beta, so ``rank_ok`` decides
     the condition for all beta at once.
     """
@@ -214,37 +217,22 @@ def rank_check(data: PanelDataset) -> RankCheckResult:
     """Decide the rank condition exactly from the within-individual variation.
 
     The rank is that of the stacked period differences x_it - x_i1 of the
-    informative individuals, from singular values with threshold
+    informative individuals, from their singular values with threshold
     sigma_max * max(rows, p) * machine epsilon. Differences keep a covariate
     that never changes within an individual exactly zero, where demeaning
-    would leave round-off that the threshold counts as rank.
-
-    The reported singular values are those of the attribute vectors of all
-    alternatives centered at their beta = 0 (uniform) mean, in closed form:
-    sqrt(eig(sum_i C(T, k_i) k_i (T - k_i) / (T (T - 1)) Xc_i' Xc_i)), with
-    Xc_i individual i's demeaned covariate matrix; the weight is the integer
-    C(T - 2, k_i - 1). They are computed as the singular values of the
-    stacked weighted rows sqrt(C(T - 2, k_i - 1)) Xc_i.
+    would leave round-off that the threshold counts as rank. The reported
+    singular values are these, zero-padded to length p, so the rank is the
+    number of them above the threshold.
     """
-    T, p = data.T, data.p
-    mask = data.informative_mask
-    X = data.covariates[mask]
+    p = data.p
+    X = data.covariates[data.informative_mask]
     rank = 0
     singular_values = np.zeros(p)
     if X.size:
         diffs = (X[:, 1:, :] - X[:, :1, :]).reshape(-1, p)
         sv = np.linalg.svd(diffs, compute_uv=False)
-        if sv[0] > 0:
-            rank = int((sv > sv[0] * max(diffs.shape) * np.finfo(np.float64).eps).sum())
-
-        # log C(T - 2, k - 1), shifted by its maximum so that large T cannot
-        # overflow; one SVD of the weighted demeaned rows avoids squaring them
-        log_w = np.array([math.log(math.comb(T - 2, k - 1)) if 0 < k < T else -np.inf
-                          for k in range(T + 1)])[data.choice_totals[mask]]
-        top = log_w.max()
-        centered = (X - X.mean(axis=1, keepdims=True)) * np.exp(0.5 * (log_w - top))[:, None, None]
-        sv = np.linalg.svd(centered.reshape(-1, p), compute_uv=False)
-        singular_values[:sv.size] = math.exp(0.5 * top) * sv
+        singular_values[:sv.size] = sv
+        rank = int((sv > sv[0] * max(diffs.shape) * np.finfo(np.float64).eps).sum())
     probe = ProbeRank(beta=np.zeros(p), singular_values=singular_values, rank=rank)
     return RankCheckResult(p=p, probes=(probe,))
 

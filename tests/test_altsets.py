@@ -17,8 +17,8 @@ from oracles import central_diff_gradient, enum_log_denominator, random_panel
 def _log_denominator(x, y, beta):
     """log D and its beta-gradient for one individual, from the kernel."""
     data = PanelDataset.from_arrays(x[None], y[None])
-    logden, mean = _kernels.logdenom_batch(data.covariates @ beta, data.covariates,
-                                           data.choice_totals)
+    logden, mean, _ = _kernels.logdenom_batch(data.covariates @ beta, data.covariates,
+                                              data.choice_totals)
     return float(logden[0]), mean[0]
 
 
@@ -71,7 +71,7 @@ def test_log_denominator_stable_for_large_scores():
                   [0.3, 0.3, 0.3], [0.1, -0.4, 2.0]])[:, :, None]
     y = np.array([[1, 1, 0], [0, 0, 0], [1, 1, 1], [0, 1, 0], [1, 0, 0]])
     beta = np.array([1.0])
-    logden, mean = _kernels.logdenom_batch(x @ beta, x, y.sum(axis=1))
+    logden, mean, _ = _kernels.logdenom_batch(x @ beta, x, y.sum(axis=1))
     for i in range(len(y)):
         expected = enum_log_denominator(x[i], y[i], beta)
         assert logden[i] == pytest.approx(expected, rel=1e-12, abs=1e-12)

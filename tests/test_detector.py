@@ -93,8 +93,8 @@ def test_rank_of_fixture_via_independent_svd(fixture_panel):
 def test_rank_rows_for_two_period_individual():
     result = rank_check(SINGLE)
     sv = result.probes[0].singular_values
-    # rows are -0.5 and +0.5, so the only singular value is sqrt(0.5)
-    assert sv[0] == pytest.approx(np.sqrt(0.5), rel=1e-12)
+    # the one difference row is x_2 - x_1 = 1, so the only singular value is 1
+    assert sv.tolist() == [1.0]
     assert result.probes[0].rank == 1
 
 
@@ -317,19 +317,40 @@ def test_swaps_and_exact_rank_match_enumeration_oracle():
     assert min(counts.values()) >= 20
 
 
-def test_closed_form_singular_values_match_enumeration():
+def _spectrum_panels(rng):
+    """Random and integer panels, a third of them made rank deficient by a
+    covariate that repeats another or stays constant within individuals, and
+    a T = 2, p = 3 panel whose one informative individual gives one row."""
+    for draw in range(60):
+        data = random_panel(rng, n_max=6, T_max=7) if draw % 2 else integer_panel(rng)
+        x = data.covariates.copy()
+        if draw % 3 == 0 and data.p > 1:
+            x[..., -1] = x[..., 0]
+        elif draw % 3 == 1:
+            x[..., -1] = x[:, :1, -1]
+        yield PanelDataset.from_arrays(x, data.outcomes)
+    x = rng.standard_normal((3, 2, 3))
+    yield PanelDataset.from_arrays(x, np.array([[0, 1], [1, 1], [0, 0]]))
+
+
+def test_reported_singular_values_decide_the_rank():
     rng = np.random.default_rng(73)
-    for _ in range(40):
-        data = random_panel(rng, n_max=6, T_max=7)
-        expected = np.linalg.svd(enum_centered_attributes(data), compute_uv=False)
-        sv = rank_check(data).probes[0].singular_values
-        assert sv.shape == (data.p,)
-        assert np.allclose(sv[:expected.size], expected, rtol=1e-10, atol=1e-12 * expected[0])
-        assert np.allclose(sv[expected.size:], 0.0, atol=1e-12 * expected[0])
+    deficient = 0
+    for data in _spectrum_panels(rng):
+        probe = rank_check(data).probes[0]
+        sv, p = probe.singular_values, data.p
+        rows = int(data.informative_mask.sum()) * (data.T - 1)
+        assert sv.shape == (p,)
+        assert (sv[1:] <= sv[:-1]).all()
+        assert not sv[min(rows, p):].any()
+        threshold = sv[0] * max(rows, p) * np.finfo(np.float64).eps
+        assert int((sv > threshold).sum()) == probe.rank
+        deficient += probe.rank < p
+    assert rows == 1 and probe.rank == 1 and p == 3
+    assert deficient >= 20
 
 
-def test_closed_form_singular_values_stay_finite_for_large_T():
-    # C(1200, 600) overflows a float; the weights C(T - 2, k - 1) are scaled
+def test_rank_stays_full_for_large_T():
     rng = np.random.default_rng(89)
     x = rng.standard_normal((2, 1200, 2))
     y = np.zeros((2, 1200), dtype=int)

@@ -1,11 +1,13 @@
-"""Every module of the package uses each name it imports, and every private
-module-level name it defines.
+"""Every module of the package uses each name it imports, every private
+module-level name it defines, and every local name its functions assign.
 
 No linter ships with the test dependencies, so this parses the sources with
 ``ast``: a name bound by ``import`` or ``from ... import`` must be read
 somewhere in its module, or be listed in the module's ``__all__``; a
 module-level name with one leading underscore must be read somewhere in the
-package outside its own definition.
+package outside its own definition; a name a function assigns must be read
+in that function or a function nested in it, where the target of an
+augmented assignment such as ``x *= w`` counts as read.
 """
 
 import ast
@@ -75,3 +77,41 @@ def test_no_unread_private_definitions():
         and not any(name in reads for _, other, reads in statements if other is not node)
     ]
     assert unread == []
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(func: ast.AST):
+    """The nodes of ``func``'s body outside the functions nested in it."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unread_locals(tree: ast.Module) -> list[str]:
+    unread = []
+    for func in ast.walk(tree):
+        if not isinstance(func, _FUNCTIONS):
+            continue
+        assigned = {}
+        for node in _own_nodes(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                assigned.setdefault(node.id, node.lineno)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                assigned.update(dict.fromkeys(node.names))
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read.update(node.target.id for node in ast.walk(func)
+                    if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name))
+        unread += [f"line {line}: {name}" for name, line in assigned.items()
+                   if line is not None and name != "_" and name not in read]
+    return unread
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_locals(path):
+    assert _unread_locals(ast.parse(path.read_text(encoding="utf-8"))) == []

@@ -19,7 +19,9 @@ def test_logdenom_deterministic():
     scores, covariates, totals = _random_batch(rng)
     a = _kernels.logdenom_batch(scores, covariates, totals)
     b = _kernels.logdenom_batch(scores, covariates, totals)
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    assert len(a) == len(b) == 3
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
 
 
 def test_logdenom_orders_return_the_same_bits():
@@ -28,11 +30,9 @@ def test_logdenom_orders_return_the_same_bits():
     scores[:6] = 0.25  # equal-score rows take the closed form
     full = _kernels.logdenom_batch(scores, covariates, totals, order=2)
     assert len(full) == 3
-    for order in (0, 1):
-        part = _kernels.logdenom_batch(scores, covariates, totals, order=order)
-        assert len(part) == order + 1
-        for a, b in zip(part, full):
-            assert np.array_equal(a, b)
+    part = _kernels.logdenom_batch(scores, covariates, totals, order=0)
+    assert len(part) == 1
+    assert np.array_equal(part[0], full[0])
     # one sequence (k = 0 or k = T): no spread
     ends = (totals == 0) | (totals == scores.shape[1])
     assert ends.any() and not full[2][ends].any()
@@ -62,7 +62,7 @@ def test_logdenom_matches_the_rows_first_reference_bit_for_bit(monkeypatch, T, p
     rng = np.random.default_rng(1000 * T + 10 * p + (budget == 1))
     batch = _pinning_batch(rng, T, p, kmax)
     monkeypatch.setattr(_kernels, "_BATCH_CELL_BUDGET", budget)
-    for order in (0, 1, 2):
+    for order in (0, 2):
         got = _kernels.logdenom_batch(*batch, order=order)
         with monkeypatch.context() as patched:
             patched.setattr(_kernels, "_recursion", recursion_reference)
