@@ -94,8 +94,13 @@ def attribute_batches(data: PanelDataset):
     sum_t d_t (x_t - x_1), from period differences: the shift k x_1 is the
     same for every alternative, so no difference between alternatives
     changes, and a covariate constant over time comes out exactly zero.
-    Groups are split into chunks whose attribute block holds at most
-    ``_kernels._BATCH_CELL_BUDGET`` cells.
+
+    The sum runs over the periods in order, on a rows-last (T, p, nk) copy
+    of the differences, so each step adds whole rows of individuals and
+    every cell's bits are the plain left-to-right sum, whatever the chunk.
+    ``attrs`` is an (nk, r, p) view of the (r, p, nk) C-ordered result,
+    which the caller owns. Groups are split into chunks whose attribute
+    block holds at most ``_kernels._BATCH_CELL_BUDGET`` cells.
     """
     totals = data.choice_totals
     mask = data.informative_mask
@@ -109,7 +114,10 @@ def attribute_batches(data: PanelDataset):
         chunk = max(1, _kernels._BATCH_CELL_BUDGET // (alts.shape[0] * p))
         for start in range(0, idx.shape[0], chunk):
             part = idx[start:start + chunk]
-            X = data.covariates[part]
-            attrs = np.einsum("rt,itp->irp", alts, X - X[:, :1])
+            X = data.covariates[part].transpose(1, 2, 0)  # (T, p, nk)
+            Xd = np.subtract(X, X[:1], out=np.empty(X.shape))
+            acc = alts[:, 0, None, None] * Xd[0]
+            for t in range(1, T):
+                acc += alts[:, t, None, None] * Xd[t]
             obs_index = observed_row_index(data.outcomes[part])
-            yield part, alts, attrs, obs_index
+            yield part, alts, acc.transpose(2, 0, 1), obs_index

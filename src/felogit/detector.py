@@ -225,7 +225,8 @@ def rank_check(data: PanelDataset) -> RankCheckResult:
     number of them above the threshold.
     """
     p = data.p
-    X = data.covariates[data.informative_mask]
+    mask = data.informative_mask
+    X = data.covariates if mask.all() else data.covariates[mask]
     rank = 0
     singular_values = np.zeros(p)
     if X.size:

@@ -90,7 +90,9 @@ class _Layout:
     attribute vector from the observed one's, so the observed alternative
     scores exactly 0. They are stored alternative-major, (C(T, k), p, m) for
     m rows, so that every sum over the alternatives adds whole rows of
-    individuals. ``rest`` holds the positions of the other informative rows,
+    individuals; the batch's attribute vectors already come in that order,
+    and the observed one's are subtracted from them in place, with no
+    transposed copy. ``rest`` holds the positions of the other informative rows,
     with their covariates, choice totals and observed attribute sums
     sum_t y_t x_t.
     """
@@ -113,8 +115,9 @@ def _layout(data: PanelDataset) -> _Layout:
         enumerated = []
         rest = data.informative_mask.copy()
         for idx, _, attrs, obs_index in attribute_batches(data):
-            diff = attrs - attrs[np.arange(idx.size), obs_index][:, None, :]
-            enumerated.append((idx, np.ascontiguousarray(diff.transpose(1, 2, 0))))
+            diff = attrs.transpose(1, 2, 0)  # the (C(T, k), p, m) array the batch owns
+            diff -= diff[obs_index, :, np.arange(idx.size)].T
+            enumerated.append((idx, diff))
             rest[idx] = False
         rows = np.flatnonzero(rest)
         X = data.covariates[rows]

@@ -63,19 +63,20 @@ class PanelDataset:
             raise PanelDataError("panel dimensions must all be at least 1")
         if ids.shape != (n,) or per.shape != (n, T) or y.shape != (n, T):
             raise PanelDataError("inconsistent array shapes for a panel")
-        if len(np.unique(ids)) != n:
+        if not (ids[1:] > ids[:-1]).all() and len(np.unique(ids)) != n:
             raise PanelDataError("individual identifiers must be unique")
         if not (per[:, 1:] > per[:, :-1]).all():
             raise PanelDataError(
                 "period labels must be distinct and ascending within each individual"
             )
+        cov = _frozen(cov)  # contiguous before the scan, which is faster on it
         if not np.isfinite(cov).all():
             raise PanelDataError("covariates must be finite")
         if not ((y == 0) | (y == 1)).all():
             raise PanelDataError("invalid outcome: outcomes must be 0 or 1")
         object.__setattr__(self, "ids", _frozen(ids))
         object.__setattr__(self, "periods", _frozen(per))
-        object.__setattr__(self, "covariates", _frozen(cov))
+        object.__setattr__(self, "covariates", cov)
         object.__setattr__(self, "outcomes", _frozen(y.astype(np.int8)))
 
     @property
@@ -133,9 +134,11 @@ def load_csv(path) -> PanelDataset:
     """Read a panel from a CSV file with header ``id,t,y,x1,...,xp``.
 
     Rows may appear in any order; they are grouped by ``id`` and sorted by
-    ``t`` within each individual. Every individual must have the same number
-    of rows and no duplicated ``(id, t)`` pair. A leading UTF-8 byte-order
-    mark is ignored. Raises :class:`~felogit.errors.PanelDataError` with a
+    ``t`` within each individual. A file that already lists them so (ids
+    non-decreasing, ``t`` non-decreasing within each id) is taken in its own
+    order, without a sort, and gives the same panel. Every individual must
+    have the same number of rows and no duplicated ``(id, t)`` pair. A
+    leading UTF-8 byte-order mark is ignored. Raises :class:`~felogit.errors.PanelDataError` with a
     row/column location on parse failures, and naming the file when it is
     not UTF-8 text.
 
@@ -187,21 +190,28 @@ def _load_bulk(path: Path) -> PanelDataset | None:
 def _assemble(path: Path, ident: np.ndarray, t: np.ndarray, values: np.ndarray) -> PanelDataset:
     """The panel of the rows ``(ident, t, values)``, ``values`` holding y, x1, ..., xp.
 
-    Rows are grouped by id and sorted by t. Raises
+    Rows are grouped by id and sorted by t, by a stable lexsort unless they
+    already are: with ids non-decreasing and t non-decreasing within each id
+    that sort is the identity, so it and its gathers are skipped. Ids and row
+    counts come from the starts of the runs of equal ids. Raises
     :class:`~felogit.errors.PanelDataError` when individuals have differing
     row counts; :class:`PanelDataset` checks everything else.
     """
-    order = np.lexsort((t, ident))
-    ident, t, values = ident[order], t[order], values[order]
-    ids, counts = np.unique(ident, return_counts=True)
-    sizes = np.unique(counts)
-    if len(sizes) != 1:
+    same = ident[1:] == ident[:-1]
+    if not ((ident[1:] > ident[:-1]) | (same & (t[1:] >= t[:-1]))).all():
+        order = np.lexsort((t, ident))
+        ident, t, values = ident[order], t[order], values[order]
+        same = ident[1:] == ident[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    counts = np.diff(starts, append=ident.size)
+    if (counts != counts[0]).any():
         raise PanelDataError(
-            f"{path}: unbalanced or duplicated panel: individuals have differing row counts {sizes.tolist()}"
+            f"{path}: unbalanced or duplicated panel: individuals have differing"
+            f" row counts {np.unique(counts).tolist()}"
         )
-    shape = (len(ids), int(sizes[0]))
+    shape = (starts.size, int(counts[0]))
     return PanelDataset(
-        ids=ids,
+        ids=ident[starts],
         periods=t.reshape(shape),
         covariates=values[:, 1:].reshape(*shape, -1),
         outcomes=values[:, 0].reshape(shape),
@@ -305,4 +315,7 @@ def informative_subset(data: PanelDataset) -> tuple[PanelDataset, int]:
     # rows of a validated panel need no second check
     sub = PanelDataset._unchecked(data.ids[mask], data.periods[mask],
                                   data.covariates[mask], data.outcomes[mask])
+    # its cached totals are the parent's, and every one of its rows is informative
+    sub.__dict__.update(choice_totals=_readonly(data.choice_totals[mask]),
+                        informative_mask=_readonly(np.ones(sub.n, dtype=bool)))
     return sub, dropped

@@ -446,3 +446,29 @@ def test_one_parser_serves_every_call_with_no_option_carried_over(capsys, fixtur
     assert code == 2 and json.loads(out)["existence"]["tolerance"] == 1e-3
     code, out, _ = run_cli(capsys, "check", path, "--output", "json")
     assert code == 2 and json.loads(out)["existence"]["tolerance"] == 1e-8
+
+
+def test_check_and_fit_json_do_not_depend_on_row_order(capsys, tmp_path):
+    # a panel of the wide benchmark design (n=20 000, T=5, p=2), written
+    # grouped by id and ascending t, which the loader takes without a sort,
+    # and with its rows shuffled, which it sorts
+    rng = np.random.default_rng(0)
+    n, T = 20_000, 5
+    x = rng.standard_normal((n, T, 2))
+    effects = rng.standard_normal(n)
+    y = (x @ np.array([1.0, -0.5]) + effects[:, None] + rng.logistic(size=(n, T)) > 0)
+    ids, periods = np.indices((n, T)) + 1
+    cells = np.column_stack([ids.ravel(), periods.ravel(), y.ravel(), x.reshape(-1, 2)])
+    lines = [f"{int(i)},{int(t)},{int(v)},{a!r},{b!r}" for i, t, v, a, b in cells.tolist()]
+    grouped = _write(tmp_path, "\n".join(["id,t,y,x1,x2"] + lines) + "\n", "grouped.csv")
+    rng.shuffle(lines)
+    shuffled = _write(tmp_path, "\n".join(["id,t,y,x1,x2"] + lines) + "\n", "shuffled.csv")
+    for command in ("check", "fit"):
+        results = []
+        for path in (grouped, shuffled):
+            code, out, err = run_cli(capsys, command, path, "--output", "json")
+            payload = json.loads(out)
+            assert payload.pop("input") == path
+            results.append((code, payload, err))
+        assert results[0] == results[1]
+        assert results[0][0] == 0

@@ -11,6 +11,7 @@ from felogit import (
     detect_panel_separation,
     detect_pooled_separation,
     generate_panel,
+    informative_subset,
     qp_problem_from_panel,
     qp_problem_from_pooled,
     rank_check,
@@ -345,6 +346,8 @@ def test_reported_singular_values_decide_the_rank():
         assert not sv[min(rows, p):].any()
         threshold = sv[0] * max(rows, p) * np.finfo(np.float64).eps
         assert int((sv > threshold).sum()) == probe.rank
+        # the informative sub-panel, whose rows are all informative, gives the same bits
+        assert rank_check(informative_subset(data)[0]).probes[0].singular_values.tobytes() == sv.tobytes()
         deficient += probe.rank < p
     assert rows == 1 and probe.rank == 1 and p == 3
     assert deficient >= 20

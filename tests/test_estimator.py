@@ -20,7 +20,7 @@ from felogit import (
     informative_subset,
 )
 from felogit import _kernels
-from felogit.altsets import attribute_batches
+from felogit.altsets import _alternatives, attribute_batches, observed_row_index
 
 from oracles import (
     central_diff_gradient,
@@ -416,6 +416,62 @@ def test_hessian_is_bitwise_equal_in_chunks(monkeypatch, budget):
     for a, b in zip(whole[0], chunked[0]):
         assert np.array_equal(a, b)
     assert whole[1] == chunked[1]
+
+
+def _layout_panel(rng):
+    """A small panel mixing the covariates whose differences round or sign
+    differently: signed zeros, integers, scales 10^+-300, constant columns."""
+    T, p, n = (int(v) for v in rng.integers([2, 1, 1], [16, 6, 7]))
+    x = rng.standard_normal((n, T, p)) * 10.0 ** rng.choice([-300, -3, 0, 3, 300], size=p)
+    kind = rng.integers(3)
+    if kind == 1:
+        x = rng.integers(-3, 4, size=(n, T, p)).astype(np.float64)
+    elif kind == 2:
+        x[rng.random((n, T, p)) < 0.4] = 0.0
+        x = np.copysign(x, rng.choice([-1.0, 1.0], size=x.shape))
+    const = rng.random(p) < 0.3
+    x[:, :, const] = x[:, :1, const]
+    y = np.zeros((n, T), dtype=np.int8)
+    for row, k in zip(y, rng.choice([1, 2, T - 2, T - 1], size=n)):
+        row[rng.permutation(T)[:min(max(k, 1), T - 1)]] = 1
+    return PanelDataset.from_arrays(x, y)
+
+
+@pytest.mark.parametrize("budget", [1, None])
+def test_layout_is_the_period_ordered_sum_of_differences(monkeypatch, budget):
+    # the plain definition: a_r = sum of x_t - x_1 over the periods r chooses,
+    # added in period order, and each alternative's difference a_r - a_obs
+    if budget is not None:
+        monkeypatch.setattr(_kernels, "_BATCH_CELL_BUDGET", budget)
+    rng = np.random.default_rng(163)
+    covered = set()
+    for _ in range(100):
+        data = _layout_panel(rng)
+        T, p = data.T, data.p
+        for idx, diff in estimator._layout(data).enumerated:
+            X = data.covariates[idx]
+            alts = _alternatives(T, int(data.choice_totals[idx[0]]))
+            assert diff.shape == (alts.shape[0], p, idx.size) and diff.flags.c_contiguous
+            for j, i in enumerate(idx):
+                d = X[j] - X[j, :1]
+
+                def attrs(seq):
+                    a = np.zeros(p)
+                    for t in np.flatnonzero(seq):
+                        a = a + d[t]
+                    return a
+
+                observed = attrs(data.outcomes[i])
+                want = np.array([attrs(r) - observed for r in alts])
+                assert np.ascontiguousarray(diff[:, :, j]).tobytes() == want.tobytes()
+                obs = observed_row_index(data.outcomes[i])
+                assert diff[obs, :, j].tobytes() == np.zeros(p).tobytes()  # +0.0 exactly
+            if p >= 2:  # einsum adds in period order too, except on its p = 1 loop
+                ein = np.einsum("rt,itp->irp", alts, X - X[:, :1])
+                ein -= ein[np.arange(idx.size), observed_row_index(data.outcomes[idx])][:, None]
+                assert np.ascontiguousarray(ein.transpose(1, 2, 0)).tobytes() == diff.tobytes()
+            covered.add((T > 7, p))
+    assert covered >= {(False, p) for p in range(1, 6)} | {(True, p) for p in range(2, 6)}
 
 
 def test_fit_enumerates_a_T5_panel_once(monkeypatch):

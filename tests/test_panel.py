@@ -161,6 +161,13 @@ def test_informative_subset_is_the_validated_panel_of_its_rows(fixture_panel):
         assert not np.shares_memory(got, getattr(fixture_panel, name))
         with pytest.raises(ValueError):
             got.flat[0] = 0
+    # the cached totals and mask it takes from its parent are its own
+    for name in ("choice_totals", "informative_mask"):
+        got, want = getattr(sub, name), getattr(built, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert getattr(sub, name) is got
+        with pytest.raises(ValueError):
+            got[0] = 0
     assert sub.informative_mask.all()
 
 
@@ -461,3 +468,69 @@ def test_a_loadtxt_warning_sends_the_file_row_wise(fixture_path, monkeypatch):
         warnings.simplefilter("ignore")  # load_csv must raise it itself
         assert _outcome(load_csv, fixture_path) == expected
     assert calls == [fixture_path]
+
+
+def _lexsort_calls(monkeypatch):
+    calls = []
+    lexsort = np.lexsort
+
+    def counted(keys):
+        calls.append(len(keys[0]))
+        return lexsort(keys)
+
+    monkeypatch.setattr(panel.np, "lexsort", counted)
+    return calls
+
+
+def test_a_file_sorted_by_id_and_t_skips_the_sort(tmp_path, monkeypatch):
+    rng = np.random.default_rng(17)
+    ids = np.sort(rng.choice(np.arange(-40, 40), size=12, replace=False))
+    x = rng.standard_normal((12, 4, 2))
+    y = rng.integers(0, 2, size=(12, 4))
+    rows = [f"{ids[i]},{10 * t - 5},{y[i, t]},{float(x[i, t, 0])!r},{float(x[i, t, 1])!r}"
+            for i in range(12) for t in range(4)]
+    sorted_path = _write(tmp_path, "\n".join(["id,t,y,x1,x2"] + rows) + "\n", "sorted.csv")
+    rng.shuffle(rows)
+    shuffled_path = _write(tmp_path, "\n".join(["id,t,y,x1,x2"] + rows) + "\n", "shuffled.csv")
+    calls = _lexsort_calls(monkeypatch)
+    grouped = load_csv(sorted_path)
+    assert calls == []
+    shuffled = load_csv(shuffled_path)
+    assert calls == [48]
+    for name in ("ids", "periods", "covariates", "outcomes"):
+        a, b = getattr(grouped, name), getattr(shuffled, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert grouped.ids.tolist() == ids.tolist()
+
+
+@pytest.mark.parametrize("rows, sorts, expected", [
+    # grouped files whose fault the panel finds without a sort
+    ("1,1,0,0.1\n1,1,1,0.2\n1,2,0,0.3\n2,1,0,0.4\n2,2,1,0.5\n2,3,0,0.6\n", False,
+     "unbalanced or duplicated panel: duplicate (id,t)=(1,1) at row 3"),
+    ("1,1,0,0.1\n1,2,1,0.2\n1,3,0,0.3\n2,1,0,0.4\n2,2,1,0.5\n", False,
+     "unbalanced or duplicated panel: individuals have differing row counts [2, 3]"),
+    # t descending, ids decreasing: sorted as before
+    ("1,2,1,0.2\n1,1,0,0.1\n2,3,0,0.6\n2,1,1,0.4\n", True,
+     ([1, 2], [[1, 2], [1, 3]], [[0.1, 0.2], [0.4, 0.6]], [[0, 1], [1, 0]])),
+    ("5,1,0,0.5\n5,2,1,0.6\n-3,1,1,0.1\n-3,2,0,0.2\n", True,
+     ([-3, 5], [[1, 2], [1, 2]], [[0.1, 0.2], [0.5, 0.6]], [[1, 0], [0, 1]])),
+    # one id listed twice in adjacent blocks: one individual with each t twice
+    ("1,1,0,0.1\n1,2,1,0.2\n1,1,0,0.3\n1,2,1,0.4\n2,1,0,0.5\n2,2,1,0.6\n2,1,1,0.7\n2,2,0,0.8\n",
+     True, "unbalanced or duplicated panel: duplicate (id,t)=(1,1) at row 4"),
+    ("1,1,0,0.1\n1,2,1,0.2\n1,3,0,0.3\n1,4,1,0.4\n2,1,0,0.5\n2,2,1,0.6\n", False,
+     "unbalanced or duplicated panel: individuals have differing row counts [2, 4]"),
+])
+def test_grouped_and_ungrouped_files_keep_their_panel_or_message(tmp_path, monkeypatch,
+                                                                rows, sorts, expected):
+    path = _write(tmp_path, "id,t,y,x1\n" + rows)
+    calls = _lexsort_calls(monkeypatch)
+    if isinstance(expected, str):
+        with pytest.raises(PanelDataError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: {expected}"
+    else:
+        data = load_csv(path)
+        ids, periods, x, y = expected
+        assert data.ids.tolist() == ids and data.periods.tolist() == periods
+        assert data.covariates[:, :, 0].tolist() == x and data.outcomes.tolist() == y
+    assert bool(calls) == sorts
