@@ -161,7 +161,7 @@ def test_informative_subset_is_the_validated_panel_of_its_rows(fixture_panel):
         assert not np.shares_memory(got, getattr(fixture_panel, name))
         with pytest.raises(ValueError):
             got.flat[0] = 0
-    # the cached totals and mask it takes from its parent are its own
+    # the cached totals and mask taken from its parent equal its own
     for name in ("choice_totals", "informative_mask"):
         got, want = getattr(sub, name), getattr(built, name)
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -517,6 +517,7 @@ def test_a_file_sorted_by_id_and_t_skips_the_sort(tmp_path, monkeypatch):
     # one id listed twice in adjacent blocks: one individual with each t twice
     ("1,1,0,0.1\n1,2,1,0.2\n1,1,0,0.3\n1,2,1,0.4\n2,1,0,0.5\n2,2,1,0.6\n2,1,1,0.7\n2,2,0,0.8\n",
      True, "unbalanced or duplicated panel: duplicate (id,t)=(1,1) at row 4"),
+    # ... and with t still ascending: one longer individual, grouped as it is
     ("1,1,0,0.1\n1,2,1,0.2\n1,3,0,0.3\n1,4,1,0.4\n2,1,0,0.5\n2,2,1,0.6\n", False,
      "unbalanced or duplicated panel: individuals have differing row counts [2, 4]"),
 ])
