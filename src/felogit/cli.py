@@ -58,85 +58,35 @@ def dumps_payload(payload: dict) -> str:
     return json.dumps(payload, indent=2)
 
 
+def _fields(record) -> dict:
+    """A new dict of a record's fields in declared order, arrays as lists;
+    every other value is the record's own object, not a copy."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(record).items()}
+
+
 def _existence_payload(report: ExistenceReport) -> dict:
-    rank = None
-    if report.rank is not None:
-        rank = {
-            "rank_ok": report.rank.rank_ok,
-            "p": report.rank.p,
-            "probes": [
-                {
-                    "beta": pr.beta.tolist(),
-                    "singular_values": pr.singular_values.tolist(),
-                    "rank": pr.rank,
-                }
-                for pr in report.rank.probes
-            ],
-        }
-    return {
-        "status": report.status,
-        "qp_min": report.qp_min,
-        "direction": None if report.direction is None else report.direction.tolist(),
-        "iterations": report.iterations,
-        "n_constraints": report.n_constraints,
-        "tolerance": report.tolerance,
-        "kkt_tolerance": report.kkt_tolerance,
-        "kkt_margin": report.kkt_margin,
-        "dropped_noninformative": report.dropped_noninformative,
-        "rank": rank,
-        "message": report.message,
-    }
+    payload = _fields(report)
+    if report.rank is not None:  # the later "probes" keeps the field's place
+        payload["rank"] = {"rank_ok": report.rank.rank_ok, **_fields(report.rank),
+                           "probes": [_fields(pr) for pr in report.rank.probes]}
+    return payload
 
 
 def _fit_payload(result: CmleFit) -> dict:
-    return {
-        "beta_hat": result.beta_hat.tolist(),
-        "std_errors": result.std_errors.tolist(),
-        "loglik": result.loglik,
-        "gradient_norm": result.gradient_norm,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "spurious": result.gate.status != STATUS_EXISTS,
-        "diagnostic": result.diagnostic,
-        "trace": [
-            {
-                "iteration": s.iteration,
-                "loglik": s.loglik,
-                "score_sup": s.score_sup,
-                "step_size": s.step_size,
-                "beta_norm": s.beta_norm,
-            }
-            for s in result.trace
-        ],
-        "gate": _existence_payload(result.gate),
-    }
-
-
-def _simulate_payload(report: FrequencyReport) -> dict:
-    cfg = report.config
-    return {
-        "config": {
-            "n": cfg.n,
-            "T": cfg.T,
-            "p": cfg.p,
-            "beta0": cfg.beta0.tolist(),
-            "effect_scale": cfg.effect_scale,
-            "replications": cfg.replications,
-            "seed": cfg.seed,
-        },
-        "panel": _frequencies_payload(report.panel),
-        "pooled": _frequencies_payload(report.pooled),
-    }
+    payload = _fields(result)
+    payload["trace"] = [_fields(s) for s in result.trace]
+    payload["gate"] = _existence_payload(result.gate)
+    return payload
 
 
 def _frequencies_payload(freq: DetectorFrequencies) -> dict:
-    return {
-        "exists": freq.exists,
-        "status": freq.status,
-        "qp_min": freq.qp_min,
-        "exists_fraction": freq.exists_fraction,
-        "qp_min_mean": freq.qp_min_mean,
-    }
+    return {**_fields(freq), "exists_fraction": freq.exists_fraction,
+            "qp_min_mean": freq.qp_min_mean}
+
+
+def _simulate_payload(report: FrequencyReport) -> dict:
+    return {name: _fields(block) if isinstance(block, SimConfig) else _frequencies_payload(block)
+            for name, block in vars(report).items()}
 
 
 def _wrap(command: str, input_path, options: dict, **payload) -> dict:

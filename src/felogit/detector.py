@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import QP_MAXITER, QP_ZERO, qp_minimize
-from .errors import QpConvergenceError
+from .errors import PanelDataError, QpConvergenceError
 from .panel import PanelDataset, informative_subset
 
 STATUS_EXISTS = "exists_unique"
@@ -103,8 +103,8 @@ class ExistenceReport:
     n_constraints: int
     tolerance: float
     kkt_tolerance: float = DEFAULT_KKT_TOL
-    dropped_noninformative: int = 0
     kkt_margin: float | None = None
+    dropped_noninformative: int = 0
     rank: RankCheckResult | None = None
     message: str | None = None
 
@@ -230,10 +230,12 @@ def rank_check(data: PanelDataset) -> RankCheckResult:
     rank = 0
     singular_values = np.zeros(p)
     if X.size:
-        diffs = (X[:, 1:, :] - X[:, :1, :]).reshape(-1, p)
+        with np.errstate(over="ignore"):  # an infinite difference leaves sigma_max NaN
+            diffs = (X[:, 1:, :] - X[:, :1, :]).reshape(-1, p)
         sv = np.linalg.svd(diffs, compute_uv=False)
         singular_values[:sv.size] = sv
-        rank = int((sv > sv[0] * max(diffs.shape) * np.finfo(np.float64).eps).sum())
+        # eps first: sigma_max times the row count can overflow
+        rank = int((sv > sv[0] * (max(diffs.shape) * np.finfo(np.float64).eps)).sum())
     probe = ProbeRank(beta=np.zeros(p), singular_values=singular_values, rank=rank)
     return RankCheckResult(p=p, probes=(probe,))
 
@@ -298,6 +300,15 @@ def detect_panel_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
     _check_options(tol, max_iter)
     sub, dropped = informative_subset(data)
     rank = rank_check(sub)
+    # sigma_max bounds every |x_t - x_1|, so below 2^1022 every swap is finite;
+    # past it (or NaN), find an individual two of whose periods differ by more
+    if not rank.probes[0].singular_values[0] < 2.0 ** 1022:
+        with np.errstate(over="ignore"):
+            spans = sub.covariates.max(axis=1) - sub.covariates.min(axis=1)
+        bad = np.flatnonzero(~np.isfinite(spans).all(axis=1))
+        if bad.size:
+            raise PanelDataError(f"covariates of individual {sub.ids[bad[0]]} differ by more than"
+                                 " the largest float between two periods; rescale them")
     problem = qp_problem_from_panel(sub)
     if problem.size == 0:
         return ExistenceReport(

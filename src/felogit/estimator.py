@@ -52,13 +52,14 @@ class NewtonStep:
     beta_norm: float
 
 
-@dataclass
+@dataclass(kw_only=True)
 class CmleFit:
     """A fitted conditional logit.
 
     ``converged`` certifies the first-order condition at ``gradient_norm``
     below the tolerance, except under ``force`` on a gated dataset, where it
-    is always False because any finite point reached there is spurious.
+    is always False because any finite point reached there is ``spurious``:
+    the existence gate reported anything other than ``exists_unique``.
     """
 
     beta_hat: np.ndarray
@@ -67,9 +68,10 @@ class CmleFit:
     gradient_norm: float
     iterations: int
     converged: bool
-    gate: ExistenceReport
-    trace: list[NewtonStep] = field(default_factory=list)
+    spurious: bool
     diagnostic: str | None = None
+    trace: list[NewtonStep] = field(default_factory=list)
+    gate: ExistenceReport
 
 
 def _validate_beta(beta, p: int) -> np.ndarray:
@@ -250,7 +252,8 @@ def fit(data: PanelDataset, force: bool = False, *,
     """
     _check_options(tol, max_iter)
     gate = detect_panel_separation(data, tol=tol)
-    if gate.status != STATUS_EXISTS and not force:
+    spurious = gate.status != STATUS_EXISTS
+    if spurious and not force:
         if gate.status == STATUS_SEPARATED:
             raise NonexistenceError("estimate does not exist (separated)", report=gate)
         raise NonexistenceError("rank condition failed", report=gate)
@@ -295,7 +298,7 @@ def fit(data: PanelDataset, force: bool = False, *,
     std_errors = np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
     diagnostic = None
-    if gate.status != STATUS_EXISTS:
+    if spurious:
         converged = False
         diagnostic = (
             f"existence gate reported {gate.status}; |beta| reached "
@@ -310,7 +313,8 @@ def fit(data: PanelDataset, force: bool = False, *,
         gradient_norm=score_sup,
         iterations=len(trace),
         converged=converged,
-        gate=gate,
-        trace=trace,
+        spurious=spurious,
         diagnostic=diagnostic,
+        trace=trace,
+        gate=gate,
     )

@@ -1,12 +1,22 @@
+import dataclasses
 import json
 import math
+import pickle
 
 import jsonschema
 import numpy as np
 import pytest
 
 import felogit.cli as cli
-from felogit import cli_report_schema_path
+from felogit import (
+    SimConfig,
+    cli_report_schema_path,
+    detect_panel_separation,
+    detect_pooled_separation,
+    existence_rate,
+    fit,
+    load_csv,
+)
 from felogit.cli import main
 
 
@@ -211,11 +221,32 @@ def test_fit_capped_at_max_iter_exits_4_unforced(capsys, tmp_path):
     assert "converged: False" in out
 
 
+# x2 never changes within an individual, while x1 does
+X2_CONSTANT_CSV = (
+    "id,t,y,x1,x2\n"
+    "1,1,0,0.5,1.0\n1,2,1,1.5,1.0\n"
+    "2,1,1,0.2,2.0\n2,2,0,0.9,2.0\n"
+    "3,1,0,0.1,-1.0\n3,2,1,0.4,-1.0\n"
+)
+
+# no covariate changes within an individual: every swap vector is zero
+NO_VARIATION_CSV = "id,t,y,x1\n1,1,0,0.5\n1,2,1,0.5\n2,1,1,1.5\n2,2,0,1.5\n"
+
 _INLINE_CSV = {
     "SYMMETRIC": SYMMETRIC_CSV,
     "XOR": XOR_CSV,
+    "TRIPLE": TRIPLE_CSV,
     "CONSTANT_X": _time_constant_csv((0.7, 2.7)),
+    "X2_CONSTANT": X2_CONSTANT_CSV,
+    "NO_VARIATION": NO_VARIATION_CSV,
 }
+
+
+def _resolve_args(tmp_path, fixture_path, args):
+    """``args`` with FIXTURE and the names of ``_INLINE_CSV`` replaced by paths."""
+    return [str(fixture_path) if a == "FIXTURE"
+            else _write(tmp_path, _INLINE_CSV[a], f"{a}.csv") if a in _INLINE_CSV else a
+            for a in args]
 _SEPARATED_PANEL = "SEPARATED: the data are separated; no finite conditional ML estimate exists"
 
 
@@ -246,9 +277,7 @@ _SEPARATED_PANEL = "SEPARATED: the data are separated; no finite conditional ML 
                  id="simulate-no-panel-qp"),
 ])
 def test_text_headings_and_exit_codes(capsys, tmp_path, fixture_path, args, code, lines):
-    argv = [str(fixture_path) if a == "FIXTURE"
-            else _write(tmp_path, _INLINE_CSV[a]) if a in _INLINE_CSV else a for a in args]
-    got, out, err = run_cli(capsys, *argv)
+    got, out, err = run_cli(capsys, *_resolve_args(tmp_path, fixture_path, args))
     assert (got, err) == (code, "")
     out_lines = out.splitlines()
     assert out_lines[0] == lines[0]
@@ -409,30 +438,135 @@ def _reject_constant(token):
     raise ValueError(f"not JSON: {token}")
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("check", "FIXTURE"),
-        ("pooled-check", "FIXTURE"),
-        ("fit", "FIXTURE"),
-        ("fit", "FIXTURE", "--force"),
-        ("fit", "TRIPLE"),
-        ("simulate", "--n", "4", "--T", "3", "--p", "1", "--beta0", "1.0",
-         "--reps", "2", "--seed", "1"),
-    ],
-)
+_JSON_CALLS = [
+    ("check", "FIXTURE"),
+    ("pooled-check", "FIXTURE"),
+    ("fit", "FIXTURE"),
+    ("fit", "FIXTURE", "--force"),
+    ("fit", "TRIPLE"),
+    ("simulate", "--n", "4", "--T", "3", "--p", "1", "--beta0", "1.0",
+     "--reps", "2", "--seed", "1"),
+    # rank-deficient panels: checked, refused, and forced (exit 3, 3, 4)
+    ("check", "X2_CONSTANT"),
+    ("fit", "X2_CONSTANT"),
+    ("fit", "X2_CONSTANT", "--force"),
+    ("check", "NO_VARIATION"),
+    ("fit", "NO_VARIATION"),
+    ("fit", "NO_VARIATION", "--force"),
+]
+
+
+def _json_payload(capsys, tmp_path, fixture_path, args):
+    _, out, _ = run_cli(capsys, *_resolve_args(tmp_path, fixture_path, args), "--output", "json")
+    return json.loads(out, parse_constant=_reject_constant)  # no NaN or Infinity
+
+
+@pytest.mark.parametrize("args", _JSON_CALLS)
 def test_json_payloads_validate_against_schema(capsys, tmp_path, fixture_path, schema, args):
-    resolved = []
-    for a in args:
-        if a == "FIXTURE":
-            resolved.append(str(fixture_path))
-        elif a == "TRIPLE":
-            resolved.append(_write(tmp_path, TRIPLE_CSV))
+    jsonschema.validate(_json_payload(capsys, tmp_path, fixture_path, args), schema)
+
+
+def _schema_node(node, schema, value):
+    """``node`` with ``$ref`` resolved, and of a ``oneOf`` the branch that
+    is not null when ``value`` is not None."""
+    while True:
+        if "$ref" in node:
+            node = schema["definitions"][node["$ref"].rsplit("/", 1)[1]]
+        elif "oneOf" in node:
+            node = next(n for n in node["oneOf"] if (n.get("type") == "null") == (value is None))
         else:
-            resolved.append(a)
-    _, out, _ = run_cli(capsys, *resolved, "--output", "json")
-    payload = json.loads(out, parse_constant=_reject_constant)  # no NaN or Infinity
-    jsonschema.validate(payload, schema)
+            return node
+
+
+def _assert_schema_key_order(value, node, schema, path="payload"):
+    node = _schema_node(node, schema, value)
+    if isinstance(value, dict) and "properties" in node:
+        props = node["properties"]
+        assert list(value) == [k for k in props if k in value], path
+        for key, item in value.items():
+            _assert_schema_key_order(item, props[key], schema, f"{path}.{key}")
+    elif isinstance(value, list) and "items" in node:
+        for i, item in enumerate(value):
+            _assert_schema_key_order(item, node["items"], schema, f"{path}[{i}]")
+
+
+@pytest.mark.parametrize("args", _JSON_CALLS)
+def test_json_keys_follow_the_schema_order(capsys, tmp_path, fixture_path, schema, args):
+    # every block is its record's fields in declared order, so reordering a
+    # record's fields reorders the JSON, and this test fails
+    _assert_schema_key_order(_json_payload(capsys, tmp_path, fixture_path, args), schema, schema)
+
+
+def _records(obj):
+    """``obj`` and every record nested in it through fields, lists and tuples."""
+    if dataclasses.is_dataclass(obj):
+        yield obj
+        for value in vars(obj).values():
+            yield from _records(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _records(value)
+
+
+def _dicts(payload):
+    if isinstance(payload, dict):
+        yield payload
+        for value in payload.values():
+            yield from _dicts(value)
+    elif isinstance(payload, list):
+        for value in payload:
+            yield from _dicts(value)
+
+
+@pytest.mark.parametrize("case", ["check", "pooled-check", "fit", "fit-forced", "simulate"])
+def test_payload_builders_neither_alias_nor_change_a_record(tmp_path, fixture_path, case):
+    data = load_csv(fixture_path)
+    record, build = {
+        "check": lambda: (detect_panel_separation(data), cli._existence_payload),
+        "pooled-check": lambda: (detect_pooled_separation(data), cli._existence_payload),
+        "fit": lambda: (fit(load_csv(_write(tmp_path, TRIPLE_CSV))), cli._fit_payload),
+        "fit-forced": lambda: (fit(data, force=True), cli._fit_payload),
+        "simulate": lambda: (existence_rate(SimConfig(n=4, T=3, p=1, beta0=[1.0],
+                                                      replications=3, seed=1)),
+                             cli._simulate_payload),
+    }[case]()
+    records = list(_records(record))
+    fields = [dict(vars(r)) for r in records]
+    pickled = pickle.dumps(record)
+    payload = build(record)
+    cli.dumps_payload(payload)
+    for r, before in zip(records, fields):
+        assert list(vars(r)) == list(before)
+        assert all(vars(r)[k] is v for k, v in before.items())
+    assert pickle.dumps(record) == pickled
+    record_dicts = {id(vars(r)) for r in records}
+    assert not any(id(d) in record_dicts for d in _dicts(payload))
+
+
+OVERFLOW_CSV = (
+    "id,t,y,x1\n"
+    "1,1,1,1e308\n1,2,0,-1e308\n1,3,0,0\n"
+    "2,1,1,0\n2,2,0,1\n2,3,1,2\n"
+    "3,1,0,1\n3,2,1,0\n3,3,0,3\n"
+)
+
+
+@pytest.mark.parametrize("args", [
+    ("check",), ("check", "--output", "json"), ("fit",), ("fit", "--force"),
+])
+def test_overflowing_differences_exit_1_with_one_error_line(capsys, tmp_path, args):
+    # x_2 - x_1 = -2e308 is not a float; warnings are errors under pytest
+    path = _write(tmp_path, OVERFLOW_CSV)
+    code, out, err = run_cli(capsys, args[0], path, *args[1:])
+    assert (code, out) == (1, "")
+    assert err == ("felogit: error: covariates of individual 1 differ by more than the"
+                   " largest float between two periods; rescale them\n")
+
+
+def test_pooled_check_decides_the_overflowing_panel(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "pooled-check", _write(tmp_path, OVERFLOW_CSV))
+    assert (code, err) == (0, "")
+    assert out.startswith("EXISTS: ")
 
 
 def test_one_parser_serves_every_call_with_no_option_carried_over(capsys, fixture_path):

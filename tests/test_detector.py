@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from felogit import (
+    PanelDataError,
     PanelDataset,
     QpConvergenceError,
     SimConfig,
@@ -10,6 +11,7 @@ from felogit import (
     STATUS_SEPARATED,
     detect_panel_separation,
     detect_pooled_separation,
+    fit,
     generate_panel,
     informative_subset,
     qp_problem_from_panel,
@@ -156,6 +158,37 @@ def test_extreme_power_of_two_scale_leaves_the_report_unchanged(fixture_panel, e
     assert np.array_equal(other.direction, base.direction)
     assert other.kkt_margin == base.kkt_margin
     assert other.n_constraints == base.n_constraints
+
+
+@pytest.mark.parametrize("x_rows, y_rows", [
+    # x_2 - x_1 = -2e308 is not a float: the rank test's differences overflow
+    ([[0.0, 1.0, 2.0], [1e308, -1e308, 0.0], [1.0, 0.0, 3.0]],
+     [[1, 0, 1], [1, 0, 0], [0, 1, 0]]),
+    # x_t - x_1 stays finite, but the swap x_2 - x_3 = 2e308 does not
+    ([[0.0, 1.0, 2.0], [0.0, 1e308, -1e308], [1.0, 0.0, 3.0]],
+     [[1, 0, 1], [1, 0, 1], [0, 1, 0]]),
+])
+def test_overflowing_differences_raise_a_panel_error_naming_the_individual(x_rows, y_rows):
+    data = PanelDataset.from_arrays(np.asarray(x_rows)[:, :, None], np.asarray(y_rows),
+                                    ids=np.array([4, 7, 9]))
+    message = ("covariates of individual 7 differ by more than the largest float"
+               " between two periods; rescale them")
+    with pytest.raises(PanelDataError, match=message):
+        detect_panel_separation(data)
+    with pytest.raises(PanelDataError, match=message):
+        fit(data, force=True)
+    # the pooled rows are the covariates themselves, so nothing overflows there
+    assert detect_pooled_separation(data).status in (STATUS_EXISTS, STATUS_SEPARATED)
+
+
+def test_differences_near_the_float_maximum_are_still_decided():
+    # sigma_max = 2^1023 is past the guard's 2^1022, but no difference
+    # overflows, and the normalized swaps are those of the unit-scale panel
+    huge = detect_panel_separation(_panel([[0.0, 2.0 ** 1023], [1.0, 0.0]], [[0, 1], [0, 1]]))
+    unit = detect_panel_separation(SYMMETRIC_PAIR)
+    assert huge.status == unit.status == STATUS_EXISTS
+    assert huge.qp_min == unit.qp_min
+    assert huge.rank.probes[0].singular_values[0] == 2.0 ** 1023
 
 
 def test_scale_invariance_generic_factor():

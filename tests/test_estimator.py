@@ -51,6 +51,20 @@ SYMMETRIC_PAIR = _panel([[0.0, 1.0], [1.0, 0.0]], [[0, 1], [0, 1]])
 TRIPLE = _panel([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]], [[0, 1], [0, 1], [0, 1]])
 
 
+@pytest.mark.parametrize("status", [STATUS_EXISTS, STATUS_SEPARATED, STATUS_RANK_DEFICIENT])
+def test_spurious_is_set_exactly_when_the_gate_fails(fixture_panel, status):
+    data = {
+        STATUS_EXISTS: TRIPLE,
+        STATUS_SEPARATED: fixture_panel,
+        # x1 never changes within an individual
+        STATUS_RANK_DEFICIENT: _panel([[0.7, 0.7], [2.7, 2.7]], [[0, 1], [1, 0]]),
+    }[status]
+    result = fit(data, force=True)
+    assert result.gate.status == status
+    assert result.spurious is (result.gate.status != "exists_unique")
+    assert result.spurious is not result.converged
+
+
 def test_loglik_fixture_at_zero(fixture_panel):
     assert conditional_loglik(fixture_panel, [0.0]) == pytest.approx(
         -7.0 * math.log(3.0), rel=1e-12
