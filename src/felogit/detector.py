@@ -301,7 +301,7 @@ def detect_panel_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
     sub, dropped = informative_subset(data)
     rank = rank_check(sub)
     # sigma_max bounds every |x_t - x_1|, so below 2^1022 every swap is finite;
-    # past it (or NaN), find an individual two of whose periods differ by more
+    # past it (or NaN), look for periods whose difference is not a float
     if not rank.probes[0].singular_values[0] < 2.0 ** 1022:
         with np.errstate(over="ignore"):
             spans = sub.covariates.max(axis=1) - sub.covariates.min(axis=1)

@@ -247,6 +247,8 @@ def _resolve_args(tmp_path, fixture_path, args):
     return [str(fixture_path) if a == "FIXTURE"
             else _write(tmp_path, _INLINE_CSV[a], f"{a}.csv") if a in _INLINE_CSV else a
             for a in args]
+
+
 _SEPARATED_PANEL = "SEPARATED: the data are separated; no finite conditional ML estimate exists"
 
 
