@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -101,10 +102,12 @@ def _wrap(command: str, input_path, options: dict, **payload) -> dict:
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if args.output == "json":
-        print(dumps_payload(payload))
-    else:
-        print(text)
+    try:
+        print(dumps_payload(payload) if args.output == "json" else text, flush=True)
+    except BrokenPipeError:  # the reader has gone: not an error; keep the exit flush quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _vec(v, fmt: str = ".6g") -> str:
@@ -117,8 +120,7 @@ def _existence_text(report: ExistenceReport, panel: bool) -> str:
     lines = [f"{banner}: {heading.format(scope)}"]
     if report.message:
         lines.append(f"  note: {report.message}")
-    if report.qp_min is not None:
-        lines.append(f"  qp minimum (normalized vectors): {report.qp_min:.6g}")
+    lines.append(f"  qp minimum (normalized vectors): {report.qp_min:.6g}")
     lines.append(f"  constraint vectors: {report.n_constraints}")
     lines.append(f"  qp active-set steps: {report.iterations}")
     if report.direction is not None:

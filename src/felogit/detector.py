@@ -90,14 +90,14 @@ class ExistenceReport:
 
     ``status`` is one of ``exists_unique``, ``separated``,
     ``rank_deficient``; the last overrides the QP verdict whenever the rank
-    condition fails. ``direction`` is the unit-normalized optimal combination
-    u* when separated; its inner product with every constraint vector is at
-    least ``-kkt_tolerance`` (the optimality certificate, reported as
-    ``kkt_margin``).
+    condition fails, and keeps its ``qp_min``, ``direction`` and
+    ``kkt_margin``. ``direction`` is the unit-normalized optimal combination
+    u* when the QP separates; its inner product with every constraint vector
+    is at least ``-kkt_tolerance`` (the optimality certificate, ``kkt_margin``).
     """
 
     status: str
-    qp_min: float | None
+    qp_min: float
     direction: np.ndarray | None
     iterations: int
     n_constraints: int
@@ -107,10 +107,6 @@ class ExistenceReport:
     dropped_noninformative: int = 0
     rank: RankCheckResult | None = None
     message: str | None = None
-
-    @property
-    def rank_ok(self) -> bool | None:
-        return None if self.rank is None else self.rank.rank_ok
 
 
 def _dedup_nonzero(rows: np.ndarray) -> QpProblem:
@@ -254,12 +250,24 @@ def _check_options(tol, max_iter) -> None:
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
 
 
-def _qp_report(problem: QpProblem, tol: float, max_iter: int, **fields) -> ExistenceReport:
-    """Solve the QP over ``problem`` and assemble the report of its verdict.
+def _reject_overflowing_spans(data: PanelDataset) -> None:
+    """Raise :class:`PanelDataError` if an informative individual's x_s - x_t overflows."""
+    with np.errstate(over="ignore"):
+        spans = data.covariates.max(axis=1) - data.covariates.min(axis=1)
+    bad = np.flatnonzero(~np.isfinite(spans).all(axis=1) & data.informative_mask)
+    if bad.size:
+        raise PanelDataError(f"covariates of individual {data.ids[bad[0]]} differ by more than"
+                             " the largest float between two periods; rescale them")
+
+
+def _qp_report(problem: QpProblem, tol: float, max_iter: int,
+               rank: RankCheckResult | None = None, **fields) -> ExistenceReport:
+    """Solve the QP over ``problem`` and build the report of its verdict.
 
     A separated report carries the unit direction u*/|u*| and its KKT margin
-    min_k w_k'u*/|u*|. Raises :class:`QpConvergenceError` when the solver
-    hits its cap on active-set steps.
+    min_k w_k'u*/|u*|. A failed ``rank`` condition overrides the status with
+    ``rank_deficient`` and keeps them. Raises :class:`QpConvergenceError`
+    when the solver hits its cap on active-set steps.
     """
     _, q, u, iters, flag, viol = qp_minimize(problem.normalized, tol, DEFAULT_KKT_TOL, max_iter)
     if flag == QP_MAXITER:
@@ -268,19 +276,17 @@ def _qp_report(problem: QpProblem, tol: float, max_iter: int, **fields) -> Exist
             f" {viol:.3g} after {iters} active-set steps",
             flag=flag, q=q, kkt_violation=viol, iterations=iters,
         )
-    report = ExistenceReport(
-        status=STATUS_EXISTS if flag == QP_ZERO else STATUS_SEPARATED,
-        qp_min=q,
-        direction=None,
-        iterations=iters,
-        n_constraints=problem.size,
-        tolerance=tol,
-        **fields,
-    )
-    if report.status == STATUS_SEPARATED:
-        report.direction = u / np.linalg.norm(u)
-        report.kkt_margin = float((problem.normalized @ report.direction).min())
-    return report
+    status, direction, margin = STATUS_EXISTS, None, None
+    if flag != QP_ZERO:
+        status, direction = STATUS_SEPARATED, u / np.linalg.norm(u)
+        margin = float((problem.normalized @ direction).min())
+    if rank is not None and not rank.rank_ok:
+        status = STATUS_RANK_DEFICIENT
+        fields["message"] = (f"covariates vary within individuals in only"
+                             f" {rank.probes[0].rank} of {rank.p} directions")
+    return ExistenceReport(status=status, qp_min=q, direction=direction, iterations=iters,
+                           n_constraints=problem.size, tolerance=tol, kkt_margin=margin,
+                           rank=rank, **fields)
 
 
 def detect_panel_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
@@ -294,40 +300,18 @@ def detect_panel_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
     combination (unit-normalized) is reported as the separating direction.
     ``max_iter`` caps the solver's active-set steps. The rank condition is
     decided as well and, when it fails, overrides the QP verdict with
-    ``rank_deficient``. Deterministic given inputs. Raises ``ValueError``
-    unless ``tol`` is in (0, 1) and ``max_iter`` an integer >= 0.
+    ``rank_deficient``, as for every panel with no nonzero swap (its QP has
+    no row and the minimum 0). Deterministic given inputs. Raises
+    ``ValueError`` unless ``tol`` is in (0, 1) and ``max_iter`` an integer >= 0.
     """
     _check_options(tol, max_iter)
     sub, dropped = informative_subset(data)
     rank = rank_check(sub)
-    # sigma_max bounds every |x_t - x_1|, so below 2^1022 every swap is finite;
-    # past it (or NaN), look for periods whose difference is not a float
+    # sigma_max bounds every |x_t - x_1|, so below 2^1022 every swap is finite
     if not rank.probes[0].singular_values[0] < 2.0 ** 1022:
-        with np.errstate(over="ignore"):
-            spans = sub.covariates.max(axis=1) - sub.covariates.min(axis=1)
-        bad = np.flatnonzero(~np.isfinite(spans).all(axis=1))
-        if bad.size:
-            raise PanelDataError(f"covariates of individual {sub.ids[bad[0]]} differ by more than"
-                                 " the largest float between two periods; rescale them")
-    problem = qp_problem_from_panel(sub)
-    if problem.size == 0:
-        return ExistenceReport(
-            status=STATUS_RANK_DEFICIENT,
-            qp_min=None,
-            direction=None,
-            iterations=0,
-            n_constraints=0,
-            tolerance=tol,
-            dropped_noninformative=dropped,
-            rank=rank,
-            message="no within-individual covariate variation; every swap vector is zero",
-        )
-    report = _qp_report(problem, tol, max_iter, dropped_noninformative=dropped, rank=rank)
-    if not rank.rank_ok:
-        report.status = STATUS_RANK_DEFICIENT
-        report.message = (f"covariates vary within individuals in only"
-                          f" {rank.probes[0].rank} of {rank.p} directions")
-    return report
+        _reject_overflowing_spans(sub)
+    return _qp_report(qp_problem_from_panel(sub), tol, max_iter, rank,
+                      dropped_noninformative=dropped)
 
 
 def detect_pooled_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
@@ -342,7 +326,5 @@ def detect_pooled_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
     :func:`detect_panel_separation` does.
     """
     _check_options(tol, max_iter)
-    problem = qp_problem_from_pooled(data)
-    classes = np.unique(data.outcomes)
-    message = "degenerate: one outcome class" if classes.size < 2 else None
-    return _qp_report(problem, tol, max_iter, message=message)
+    message = "degenerate: one outcome class" if np.unique(data.outcomes).size < 2 else None
+    return _qp_report(qp_problem_from_pooled(data), tol, max_iter, message=message)

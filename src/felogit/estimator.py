@@ -30,6 +30,7 @@ from .detector import (
     DEFAULT_QP_TOL,
     ExistenceReport,
     _check_options,
+    _reject_overflowing_spans,
     detect_panel_separation,
 )
 from .errors import NonexistenceError, PanelDataError
@@ -114,6 +115,9 @@ def _layout(data: PanelDataset) -> _Layout:
     """The panel's :class:`_Layout`, built on first use from one enumeration."""
     layout = _LAYOUTS.get(data)
     if layout is None:
+        # below 2^1022 in magnitude no difference x_s - x_t overflows
+        if max(data.covariates.max(initial=0.0), -data.covariates.min(initial=0.0)) >= 2.0 ** 1022:
+            _reject_overflowing_spans(data)
         enumerated = []
         rest = data.informative_mask.copy()
         for idx, _, attrs, obs_index in attribute_batches(data):

@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -449,6 +453,9 @@ _JSON_CALLS = [
     ("simulate", "--n", "4", "--T", "3", "--p", "1", "--beta0", "1.0",
      "--reps", "2", "--seed", "1"),
     # rank-deficient panels: checked, refused, and forced (exit 3, 3, 4)
+    ("check", "CONSTANT_X"),
+    ("fit", "CONSTANT_X"),
+    ("fit", "CONSTANT_X", "--force"),
     ("check", "X2_CONSTANT"),
     ("fit", "X2_CONSTANT"),
     ("fit", "X2_CONSTANT", "--force"),
@@ -608,3 +615,23 @@ def test_check_and_fit_json_do_not_depend_on_row_order(capsys, tmp_path):
             results.append((code, payload, err))
         assert results[0] == results[1]
         assert results[0][0] == 0
+
+
+@pytest.mark.parametrize("args, code", [
+    (("check", "FIXTURE", "--output", "json"), 2),
+    (("simulate", "--n", "4", "--T", "3", "--p", "1", "--beta0", "1.0", "--reps", "2"), 0),
+])
+def test_closed_stdout_keeps_the_exit_code_and_writes_no_error(fixture_path, args, code):
+    # the pipe's read end is closed before felogit starts, so every write fails
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [str(fixture_path) if a == "FIXTURE" else a for a in args]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, "-m", "felogit", *argv], stdout=write,
+                             stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (code, b"")

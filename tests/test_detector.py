@@ -51,7 +51,7 @@ def test_fixture_is_separated(fixture_panel):
     assert report.qp_min > 1e-6
     assert report.direction.tolist() == [-1.0]
     assert report.dropped_noninformative == 3
-    assert report.rank_ok is True
+    assert report.rank.rank_ok is True
     # every difference vector is weakly negative, some strictly
     values = enum_differences(fixture_panel)[:, 0]
     assert (values <= 0.0).all() and (values < 0.0).any()
@@ -78,11 +78,25 @@ def test_constant_covariates_are_rank_deficient():
     data = _panel([[0.7, 0.7, 0.7], [0.2, 0.2, 0.2]], [[0, 1, 0], [1, 0, 1]])
     report = detect_panel_separation(data)
     assert report.status == STATUS_RANK_DEFICIENT
-    assert report.n_constraints == 0
-    assert report.qp_min is None
+    # no swap is nonzero, so the QP has no row: its minimum is 0 after no step
+    assert (report.qp_min, report.iterations, report.n_constraints) == (0.0, 0, 0)
+    assert report.direction is None and report.kkt_margin is None
+    assert report.message == "covariates vary within individuals in only 0 of 1 directions"
     result = rank_check(data)
     assert not result.rank_ok
     assert all(pr.rank == 0 for pr in result.probes)
+
+
+def test_separated_rank_deficient_panel_keeps_its_direction():
+    # x2 never changes within an individual; x1 rises as y goes from 0 to 1
+    x = np.array([[[0.0, 1.0], [1.0, 1.0]], [[0.0, 3.0], [2.0, 3.0]]])
+    report = detect_panel_separation(PanelDataset.from_arrays(x, np.array([[0, 1], [0, 1]])))
+    assert report.status == STATUS_RANK_DEFICIENT
+    assert report.message == "covariates vary within individuals in only 1 of 2 directions"
+    # the swaps (-1, 0) and (-2, 0) have the same unit row, so q = |2 (-1, 0)|^2
+    assert (report.qp_min, report.n_constraints) == (4.0, 2)
+    assert report.direction.tolist() == [-1.0, 0.0]
+    assert report.kkt_margin == 1.0
 
 
 def test_rank_of_fixture_via_independent_svd(fixture_panel):

@@ -8,6 +8,7 @@ import pytest
 import felogit.estimator as estimator
 from felogit import (
     NonexistenceError,
+    PanelDataError,
     PanelDataset,
     STATUS_EXISTS,
     STATUS_RANK_DEFICIENT,
@@ -560,3 +561,27 @@ def test_api_rejects_invalid_tol_or_max_iter(fixture_panel, call, options):
     name = next(iter(options))
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call(fixture_panel, **options)
+
+
+def test_likelihood_rejects_covariate_differences_that_overflow():
+    # individual 1's x_2 - x_1 = -2e308 is not a float; warnings are errors under pytest
+    x = np.array([[1e308, -1e308, 0.0], [0.0, 1.0, 2.0], [1.0, 0.0, 3.0]])[:, :, None]
+    data = PanelDataset.from_arrays(x, np.array([[1, 0, 0], [1, 0, 1], [0, 1, 0]]))
+    message = ("covariates of individual 1 differ by more than the largest float"
+               " between two periods; rescale them")
+    with pytest.raises(PanelDataError, match=message):
+        conditional_loglik(data, [0.0])
+    with pytest.raises(PanelDataError, match=message):
+        conditional_score_and_hessian(data, [0.0])
+
+
+def test_an_overflowing_noninformative_individual_is_ignored():
+    # individual 1 never chooses, so its overflowing differences enter nothing
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((40, 4, 1))
+    y = (x[..., 0] + rng.standard_normal(40)[:, None] + rng.logistic(size=(40, 4)) > 0)
+    x[0, :, 0] = (1e308, -1e308, 0.0, 5.0)
+    y[0] = False
+    data = PanelDataset.from_arrays(x, y.astype(int))
+    assert fit(data).converged
+    assert math.isfinite(conditional_loglik(data, [0.3]))

@@ -7,7 +7,9 @@ somewhere in its module, or be listed in the module's ``__all__``; a
 module-level name with one leading underscore must be read somewhere in the
 package outside its own definition; a name a function assigns must be read
 in that function or a function nested in it, where the target of an
-augmented assignment such as ``x *= w`` counts as read.
+augmented assignment such as ``x *= w`` counts as read. It also checks that
+one function builds every ``ExistenceReport`` and that ``detector.py``
+edits no record after building it.
 """
 
 import ast
@@ -115,3 +117,32 @@ def _unread_locals(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unread_locals(path):
     assert _unread_locals(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _report_constructions() -> list[tuple[str, str | None]]:
+    """(module, innermost enclosing function) of each ``ExistenceReport(...)`` call."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        funcs = [f for f in ast.walk(tree)
+                 if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            callee = getattr(node, "func", None)
+            if getattr(callee, "id", getattr(callee, "attr", None)) == "ExistenceReport":
+                owners = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                found.append((path.name, owners[-1] if owners else None))  # walk is outer first
+    return found
+
+
+def test_one_function_constructs_every_existence_report():
+    assert _report_constructions() == [("detector.py", "_qp_report")]
+
+
+def test_detector_assigns_to_no_attribute():
+    # a report is built whole, once: no code edits a record after construction
+    tree = ast.parse((SOURCES[0].parent / "detector.py").read_text(encoding="utf-8"))
+    stores = [f"line {node.lineno}: .{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)]
+    setattrs = [f"line {node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr"]
+    assert stores + setattrs == []
