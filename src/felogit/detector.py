@@ -72,7 +72,7 @@ class RankCheckResult:
 class QpProblem:
     """Stacked nonzero attribute-difference vectors and their unit copies."""
 
-    vectors: np.ndarray     # (m, p) deduplicated, zero rows removed
+    vectors: np.ndarray     # (m, p) zero rows removed, in builder order
     normalized: np.ndarray  # (m, p) unit rows
 
     @property
@@ -110,62 +110,25 @@ class ExistenceReport:
 
 
 def _dedup_nonzero(rows: np.ndarray) -> QpProblem:
-    """The QP problem over the distinct nonzero ``rows`` (m, p).
+    """The QP problem over the nonzero ``rows`` (m, p), unit rows in input order.
 
-    Merging duplicates is not just a speed-up: every row carries a weight
-    lam >= 1, so a repeated row would change the QP minimum and, for p >= 2,
-    the direction (never the verdict), e.g. for a copied individual. The rows
-    come out in lexicographic order, and of rows that compare equal (-0.0
-    equals 0.0) the first in input order is kept.
-
-    Every step runs on one contiguous column-major copy ``cols`` (p, m), so
-    it sweeps p whole columns rather than m short rows: the nonzero mask is
-    an OR of p column comparisons, and one quicksort of the lead column
-    ``cols[0]`` orders the rows. When the sorted lead column is strictly
-    increasing, that is the only order that sorts it, so it is the
-    lexicographic order and no two rows are equal. When it has a tie
-    (-0.0 against 0.0 too, and always for the pooled test's +-1 intercept),
-    a quicksort of the second column followed by a stable sort of the lead
-    column orders the rows by those two columns; when the second column is
-    strictly increasing within every run of equal leads, that again is the
-    only such order, lexicographic, with no two rows equal. Otherwise (p = 1,
-    or a tie in both columns, -0.0 against 0.0 included) the stable lexsort
-    over all p columns decides the order and which of the equal rows comes
-    first, and duplicates are the neighbours equal in every column. Each row
-    is scaled by the power of two that brings its largest |entry|, a maximum
-    over the p columns, into [0.5, 1) (exact) before its norm is taken, so
-    the norm neither overflows nor underflows at any scale. The norm sums
-    over the C-ordered rows: a column-by-column sum can round differently
-    for p >= 8.
+    Nothing is merged or sorted: repeated or reordered rows span the same
+    cone. The name stays until the benchmark's tracer, which hooks it by
+    name, is renamed with it. Each row is scaled by the power of two that
+    brings its largest |entry| into [0.5, 1) (exact), so its norm neither
+    overflows nor underflows; the norm sums over C-ordered rows, as a
+    column-by-column sum can round differently for p >= 8.
     """
-    cols = _sorted_distinct(np.ascontiguousarray(rows.T))
+    cols = np.ascontiguousarray(rows.T)
+    nonzero = (cols != 0).any(axis=0)
+    if not nonzero.all():
+        cols = cols.compress(nonzero, axis=1)
     exps = np.frexp(np.abs(cols).max(axis=0, initial=0.0))[1]
-    rows = np.ascontiguousarray(cols.T)
+    rows = cols.T.copy()  # C order, and never a view of the caller's rows
     normalized = np.ldexp(rows, -exps[:, None])
     del cols, exps  # freed before the norm allocates its temporaries: a lower peak
     normalized /= np.linalg.norm(normalized, axis=1)[:, None]
     return QpProblem(vectors=rows, normalized=normalized)
-
-
-def _sorted_distinct(cols: np.ndarray) -> np.ndarray:
-    """The distinct nonzero columns of ``cols`` (p, m), in lexicographic order."""
-    nonzero = (cols != 0).any(axis=0)
-    if not nonzero.all():
-        cols = cols.compress(nonzero, axis=1)
-    order = np.argsort(cols[0])
-    lead = cols[0].take(order)
-    if (lead[1:] > lead[:-1]).all():
-        return cols.take(order, axis=1)
-    if cols.shape[0] > 1:
-        order = np.argsort(cols[1])
-        order = order.take(np.argsort(cols[0].take(order), kind="stable"))
-        lead, second = cols[0].take(order), cols[1].take(order)
-        if ((lead[1:] > lead[:-1]) | (second[1:] > second[:-1])).all():
-            return cols.take(order, axis=1)
-    cols = cols.take(np.lexsort(cols[::-1]), axis=1)
-    first = np.ones(cols.shape[1], dtype=bool)
-    np.logical_or.reduce(cols[:, 1:] != cols[:, :-1], axis=0, out=first[1:])
-    return cols.compress(first, axis=1)
 
 
 def qp_problem_from_panel(data: PanelDataset) -> QpProblem:
@@ -173,21 +136,16 @@ def qp_problem_from_panel(data: PanelDataset) -> QpProblem:
 
     One row per (informative individual, single swap) pair holding
     x_s - x_t for a period s with y_s = 0 and a period t with y_t = 1: the
-    difference vector of the alternative that moves one choice from t to s.
-    All swaps come from one ``np.nonzero`` over the (n, T, T) mask
-    y_s < y_t, which costs n T^2 bytes, and two gathers of the covariate
-    columns. Individuals are taken in a stable order of their choice totals,
-    so rows are listed by choice total, then individual, then s, then t;
-    the dedup keeps the first of rows that compare equal, so this order
-    decides which of a signed-zero pair survives. Individuals with constant
-    outcomes have no swaps. Exact zeros (a covariate equal in both periods)
-    are dropped and duplicates merged.
+    difference vector of the alternative that moves one choice from t to s,
+    listed by individual, then s, then t. All swaps come from one
+    ``np.nonzero`` over the (n, T, T) mask y_s < y_t (n T^2 bytes) and two
+    gathers of the covariate columns. Individuals with constant outcomes
+    have no swaps; exact zeros (a covariate equal in both periods) are dropped.
     """
     T, p = data.T, data.p
-    order = np.argsort(data.choice_totals, kind="stable")
-    y = data.outcomes[order]
+    y = data.outcomes
     i, s, t = np.nonzero(y[:, :, None] < y[:, None, :])
-    first = order.take(i) * T  # row of period 0 of the swap's individual
+    first = i * T  # row of period 0 of the swap's individual
     X = data.covariates.reshape(-1, p).T  # (p, n T) view: gathers come out column-major
     cols = X.take(first + s, axis=1)
     cols -= X.take(first + t, axis=1)
@@ -307,9 +265,13 @@ def detect_panel_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
     _check_options(tol, max_iter)
     sub, dropped = informative_subset(data)
     rank = rank_check(sub)
+    sigma_max = rank.probes[0].singular_values[0]
     # sigma_max bounds every |x_t - x_1|, so below 2^1022 every swap is finite
-    if not rank.probes[0].singular_values[0] < 2.0 ** 1022:
+    if not sigma_max < 2.0 ** 1022:
         _reject_overflowing_spans(sub)
+        if not np.isfinite(sigma_max):
+            raise PanelDataError("the period differences of the covariates are too large"
+                                 " to decide their rank; rescale them")
     return _qp_report(qp_problem_from_panel(sub), tol, max_iter, rank,
                       dropped_noninformative=dropped)
 

@@ -8,10 +8,10 @@ direction grid or an exact LP feasibility problem, constraint sets and the
 rank at beta = 0 from enumerating every alternative. The exceptions are
 frozen copies of earlier production code against which the current code is
 pinned bit for bit: :func:`recursion_reference`, the denominator recursion
-in its rows-first layout, :func:`dedup_reference`, the constraint dedup
-as one lexsort over the rows, :func:`swaps_reference`, the panel constraint
+in its rows-first layout, :func:`swaps_reference`, the panel constraint
 builder with one block per choice total, and :func:`qp_reference`, the
-Lawson-Hanson solver with its bookkeeping in arrays.
+Lawson-Hanson solver with its bookkeeping in arrays. :func:`dedup_reference`
+restates the unit constraint rows row by row, to pin them bit for bit too.
 """
 
 from __future__ import annotations
@@ -113,14 +113,10 @@ def recursion_reference(S: np.ndarray, X: np.ndarray, ks: np.ndarray, order: int
     return tuple(acc[rows, ks] for acc in (lf, h, C)[:order + 1])
 
 
-# detector._dedup_nonzero as it was with a lexsort over all rows, kept
-# verbatim as the bit-for-bit reference.
 def dedup_reference(rows: np.ndarray) -> QpProblem:
-    """The QP problem over the distinct nonzero ``rows``, in lexicographic order."""
-    rows = rows[(rows != 0).any(axis=1)]
-    if rows.size:
-        rows = rows[np.lexsort(rows.T[::-1])]
-        rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+    """The QP problem over the nonzero ``rows`` in input order, nothing merged:
+    each row scaled by a power of two, then by its norm, row-major."""
+    rows = np.ascontiguousarray(rows[(rows != 0).any(axis=1)])
     scaled = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1][:, None])
     return QpProblem(vectors=rows, normalized=scaled / np.linalg.norm(scaled, axis=1)[:, None])
 
@@ -275,6 +271,26 @@ def lp_verdict(data: PanelDataset) -> str:
         return STATUS_RANK_DEFICIENT
     unit = rows / norms[norms > 0][:, None]
     res = linprog(np.zeros(unit.shape[0]), A_eq=unit.T, b_eq=np.zeros(data.p),
+                  bounds=(1, None), method="highs")
+    if res.status not in (0, 2):  # 0 feasible, 2 infeasible
+        raise RuntimeError(f"LP oracle undecided: {res.message}")
+    return STATUS_EXISTS if res.status == 0 else STATUS_SEPARATED
+
+
+def pooled_lp_verdict(data: PanelDataset) -> str:
+    """Pooled verdict from a linear program over the stacked observations.
+
+    The pooled logit ML estimate exists iff some lam >= 1 gives W' lam = 0
+    over the unit rows W of (2y - 1) (1, x'), none of which is zero; scipy's
+    HiGHS solver decides feasibility. Raises ImportError without scipy.
+    """
+    from scipy.optimize import linprog
+
+    signs = 2.0 * data.outcomes.reshape(-1).astype(np.float64) - 1.0
+    X = data.covariates.reshape(signs.size, -1)
+    rows = signs[:, None] * np.column_stack([np.ones(signs.size), X])
+    unit = rows / np.linalg.norm(rows, axis=1)[:, None]
+    res = linprog(np.zeros(unit.shape[0]), A_eq=unit.T, b_eq=np.zeros(unit.shape[1]),
                   bounds=(1, None), method="highs")
     if res.status not in (0, 2):  # 0 feasible, 2 infeasible
         raise RuntimeError(f"LP oracle undecided: {res.message}")

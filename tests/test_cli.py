@@ -552,6 +552,7 @@ def test_payload_builders_neither_alias_nor_change_a_record(tmp_path, fixture_pa
     assert not any(id(d) in record_dicts for d in _dicts(payload))
 
 
+# x_2 - x_1 = -2e308 in individual 1 is not a float
 OVERFLOW_CSV = (
     "id,t,y,x1\n"
     "1,1,1,1e308\n1,2,0,-1e308\n1,3,0,0\n"
@@ -560,20 +561,38 @@ OVERFLOW_CSV = (
 )
 
 
+# every difference is finite, but the largest singular value of the stacked
+# differences, about 1.8e308, is not: a rank of 0 from it would be a wrong
+# verdict, and "singular_values": [Infinity] is not JSON
+OVERFLOW_NORM_CSV = (
+    "id,t,y,x1\n"
+    "1,1,0,0\n1,2,1,1e308\n1,3,1,1.5e308\n"
+    "2,1,1,0\n2,2,0,1\n2,3,1,2\n"
+    "3,1,0,1\n3,2,1,0\n3,3,0,3\n"
+)
+_OVERFLOWS = {
+    "difference": (OVERFLOW_CSV, "covariates of individual 1 differ by more than the largest"
+                                 " float between two periods; rescale them"),
+    "singular value": (OVERFLOW_NORM_CSV, "the period differences of the covariates are too"
+                                          " large to decide their rank; rescale them"),
+}
+
+
 @pytest.mark.parametrize("args", [
     ("check",), ("check", "--output", "json"), ("fit",), ("fit", "--force"),
 ])
-def test_overflowing_differences_exit_1_with_one_error_line(capsys, tmp_path, args):
-    # x_2 - x_1 = -2e308 is not a float; warnings are errors under pytest
-    path = _write(tmp_path, OVERFLOW_CSV)
-    code, out, err = run_cli(capsys, args[0], path, *args[1:])
+@pytest.mark.parametrize("overflow", _OVERFLOWS)
+def test_overflowing_differences_exit_1_with_one_error_line(capsys, tmp_path, args, overflow):
+    # warnings are errors under pytest
+    text, message = _OVERFLOWS[overflow]
+    code, out, err = run_cli(capsys, args[0], _write(tmp_path, text), *args[1:])
     assert (code, out) == (1, "")
-    assert err == ("felogit: error: covariates of individual 1 differ by more than the"
-                   " largest float between two periods; rescale them\n")
+    assert err == f"felogit: error: {message}\n"
 
 
-def test_pooled_check_decides_the_overflowing_panel(capsys, tmp_path):
-    code, out, err = run_cli(capsys, "pooled-check", _write(tmp_path, OVERFLOW_CSV))
+@pytest.mark.parametrize("overflow", _OVERFLOWS)
+def test_pooled_check_decides_the_overflowing_panel(capsys, tmp_path, overflow):
+    code, out, err = run_cli(capsys, "pooled-check", _write(tmp_path, _OVERFLOWS[overflow][0]))
     assert (code, err) == (0, "")
     assert out.startswith("EXISTS: ")
 

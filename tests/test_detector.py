@@ -5,6 +5,7 @@ from felogit import (
     PanelDataError,
     PanelDataset,
     QpConvergenceError,
+    QpProblem,
     SimConfig,
     STATUS_EXISTS,
     STATUS_RANK_DEFICIENT,
@@ -28,6 +29,7 @@ from oracles import (
     every_total_panel,
     integer_panel,
     lp_verdict,
+    pooled_lp_verdict,
     pooled_separable_grid,
     qp_reference,
     random_panel,
@@ -228,21 +230,21 @@ def test_noninformative_individuals_do_not_change_report():
         )
         other = detect_panel_separation(padded)
         assert other.dropped_noninformative == base.dropped_noninformative + 2
-        # a copy of an informative individual adds only duplicate swap
-        # vectors, which the QP merges
+        assert other.status == base.status
+        assert other.qp_min == base.qp_min
+        assert other.n_constraints == base.n_constraints
+        if base.direction is None:
+            assert other.direction is None
+        else:
+            assert np.array_equal(other.direction, base.direction)
+        # a copy of an informative individual repeats its swap vectors, which
+        # span the same cone but carry weights of their own in the QP
         i = int(np.flatnonzero(data.informative_mask)[0])
         copied = PanelDataset.from_arrays(
             np.concatenate([data.covariates, data.covariates[i:i + 1]]),
             np.concatenate([data.outcomes, data.outcomes[i:i + 1]]),
         )
-        for report in (other, detect_panel_separation(copied)):
-            assert report.status == base.status
-            assert report.qp_min == base.qp_min
-            assert report.n_constraints == base.n_constraints
-            if base.direction is None:
-                assert report.direction is None
-            else:
-                assert np.array_equal(report.direction, base.direction)
+        assert detect_panel_separation(copied).status == base.status
 
 
 def test_sign_oracle_agreement_scalar_covariate():
@@ -465,6 +467,34 @@ def test_verdicts_match_exact_lp_oracle():
     assert counts[STATUS_EXISTS] >= 50 and counts[STATUS_SEPARATED] >= 50
 
 
+def test_pooled_verdicts_match_exact_lp_oracle():
+    # random normal, small-integer and binary covariates, and the sim design
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(101)
+    cases = []
+    for j in range(90):
+        cases.append((f"random {j}", random_panel(rng, n_max=4, T_max=4)))
+        cases.append((f"integer {j}", integer_panel(rng)))
+        binary = random_panel(rng, n_max=6, T_max=4)
+        x = (rng.random(binary.covariates.shape) < 0.5).astype(np.float64)
+        cases.append((f"binary {j}", PanelDataset.from_arrays(x, binary.outcomes)))
+    for seed in range(3):
+        config = SimConfig(n=10, T=4, p=2, beta0=np.array([2.0, -1.0]), seed=seed)
+        cases += [(f"sim seed {seed} rep {rep}", generate_panel(config, rep)) for rep in range(20)]
+    assert len(cases) >= 300
+    counts = {STATUS_EXISTS: 0, STATUS_SEPARATED: 0}
+    disagreements = []
+    for label, data in cases:
+        report = detect_pooled_separation(data)
+        expected = pooled_lp_verdict(data)
+        counts[expected] += 1
+        if report.status != expected:
+            disagreements.append(f"{label}: detector {report.status}"
+                                 f" (qp_min {report.qp_min}), LP {expected}")
+    assert not disagreements, "\n".join(disagreements)
+    assert min(counts.values()) >= 50
+
+
 def _assert_same_problem(got, want):
     for a, b in ((got.vectors, want.vectors), (got.normalized, want.normalized)):
         assert a.shape == b.shape and a.dtype == b.dtype
@@ -494,8 +524,8 @@ def _dedup_rows(kind, rng, m, p):
     if kind == "extreme":  # |x| near 1e-300 and 1e300, whose unscaled squares under- and overflow
         exponents = rng.choice([-1.0, 1.0], size=(m, p)) * rng.uniform(295.0, 307.0, size=(m, p))
         return rng.choice([-1.0, 1.0], size=(m, p)) * 10.0 ** exponents
-    # a tied lead column, as the pooled test's +-1 intercept (at p = 1 nothing
-    # else decides); the second column decides the order unless it ties too
+    # a tied lead column, as the pooled test's +-1 intercept, with ties and
+    # signed zeros in the second column too
     rows = rng.standard_normal((m, p))
     rows[:, 0] = rng.choice([-1.0, 1.0], size=m)
     if kind == "signed_zero_lead":
@@ -514,7 +544,7 @@ def _dedup_rows(kind, rng, m, p):
 @pytest.mark.parametrize("layout", ["C", "F"])
 @pytest.mark.parametrize("p", [1, 2, 3, 9, 12])
 @pytest.mark.parametrize("kind", _DEDUP_KINDS)
-def test_dedup_matches_the_lexsort_reference_bit_for_bit(kind, p, layout):
+def test_unit_rows_match_the_no_merge_reference_bit_for_bit(kind, p, layout):
     rng = np.random.default_rng([_DEDUP_KINDS.index(kind), p])
     for m in (0, 1, 2, 7, 300):
         rows = np.asarray(_dedup_rows(kind, rng, m, p), order=layout)
@@ -528,7 +558,7 @@ def test_dedup_matches_the_lexsort_reference_bit_for_bit(kind, p, layout):
     (60, 14, 3, False),    # long-shaped
     (300, 6, 2, True),     # ties and duplicate swaps
 ])
-def test_constraint_builders_match_the_lexsort_reference(monkeypatch, n, T, p, integer):
+def test_constraint_builders_match_the_no_merge_reference(monkeypatch, n, T, p, integer):
     rng = np.random.default_rng(1000 * T + p)
     data = random_panel(rng, n=n, T=T, p=p)
     if integer:
@@ -563,13 +593,32 @@ def _swap_panels(case):
     return panels
 
 
+def _sorted_by_bits(problem):
+    """``problem`` with its rows in the order of their bit patterns, which
+    tells -0.0 from 0.0, so two problems with the same rows compare equal."""
+    order = np.lexsort(problem.vectors.view(np.uint64).T[::-1])
+    return QpProblem(vectors=problem.vectors[order], normalized=problem.normalized[order])
+
+
 @pytest.mark.parametrize("case", _SWAP_CASES)
 def test_swap_builder_matches_the_per_choice_total_reference_bit_for_bit(case):
+    # the same rows, bit for bit, listed by individual rather than by choice total
     for data in _swap_panels(case):
         got = qp_problem_from_panel(data)
-        _assert_same_problem(got, swaps_reference(data))
+        assert got.vectors.flags.c_contiguous and got.normalized.flags.c_contiguous
+        _assert_same_problem(_sorted_by_bits(got), _sorted_by_bits(swaps_reference(data)))
         if case == "constant":
             assert got.vectors.shape == (0, data.p)
+
+
+def test_every_nonzero_swap_and_observation_is_a_constraint():
+    # continuous covariates give no zero swap: k (T - k) rows per individual
+    rng = np.random.default_rng(79)
+    for _ in range(40):
+        data = random_panel(rng, n_max=30, T_max=7)
+        k = data.choice_totals
+        assert detect_panel_separation(data).n_constraints == int((k * (data.T - k)).sum())
+        assert detect_pooled_separation(data).n_constraints == data.n * data.T
 
 
 def _bits(value):
