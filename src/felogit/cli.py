@@ -1,11 +1,13 @@
 """Command-line front end: check, fit, pooled-check, simulate.
 
 Exit codes: 0 the estimate exists (or the command succeeded), 1 input or
-usage error (or out of memory), 2 separated data, 3 rank condition failed,
-4 ``fit`` did not converge: a forced fit on a gated panel, or the
-``--max-iter`` cap. JSON payloads spell each float as its shortest
-round-trip ``repr``, so parse(serialize(x)) is exact and re-serializing is
-byte-stable.
+usage error (or out of memory, or a QP that took its step cap undecided),
+2 separated data, 3 rank condition failed, 4 ``fit`` did not converge: a
+forced fit on a gated panel, or its ``--max-iter`` Newton cap. The
+existence checks have no options: their QP threshold (1e-8) and step cap
+(100 000) are fixed in :mod:`felogit.detector`. JSON payloads spell each
+float as its shortest round-trip ``repr``, so parse(serialize(x)) is exact
+and re-serializing is byte-stable.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from .detector import (
     STATUS_EXISTS,
     STATUS_RANK_DEFICIENT,
     STATUS_SEPARATED,
-    DEFAULT_QP_MAX_ITER,
-    DEFAULT_QP_TOL,
     ExistenceReport,
     detect_panel_separation,
     detect_pooled_separation,
@@ -142,9 +142,8 @@ def cmd_check(args) -> int:
     data = load_csv(args.csv)
     panel = args.command == "check"
     detect = detect_panel_separation if panel else detect_pooled_separation
-    report = detect(data, tol=args.tol, max_iter=args.max_iter)
-    options = {"tol": args.tol, "max_iter": args.max_iter}
-    payload = _wrap(args.command, args.csv, options, existence=_existence_payload(report))
+    report = detect(data)
+    payload = _wrap(args.command, args.csv, {}, existence=_existence_payload(report))
     _emit(args, payload, _existence_text(report, panel))
     return _STATUS[report.status][0]
 
@@ -172,9 +171,9 @@ def _fit_text(result: CmleFit) -> str:
 
 def cmd_fit(args) -> int:
     data = load_csv(args.csv)
-    options = {"force": args.force, "tol": args.tol, "max_iter": args.max_iter}
+    options = {"force": args.force, "max_iter": args.max_iter}
     try:
-        result = fit(data, force=args.force, tol=args.tol, max_iter=args.max_iter)
+        result = fit(data, force=args.force, max_iter=args.max_iter)
     except NonexistenceError as err:
         report = err.report
         payload = _wrap(
@@ -227,9 +226,8 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
         )
     except ValueError as err:
         parser.error(str(err))
-    report = existence_rate(config, tol=args.tol)
-    options = {"tol": args.tol}
-    payload = _wrap("simulate", None, options, simulate=_simulate_payload(report))
+    report = existence_rate(config)
+    payload = _wrap("simulate", None, {}, simulate=_simulate_payload(report))
     _emit(args, payload, _simulate_text(report))
     return EXIT_OK
 
@@ -243,24 +241,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _checked(convert, valid, requirement: str):
-    """argparse type: ``convert`` the text, then require ``valid`` of the value."""
-    def parse(text: str):
-        value = convert(text)
-        if not valid(value):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
-        return value
-    parse.__name__ = convert.__name__  # argparse's "invalid float value: ..."
-    return parse
+def _iteration_cap(text: str) -> int:
+    """argparse type of ``fit --max-iter``: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
 
 
-_tolerance = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
-_iteration_cap = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_iteration_cap.__name__ = "int"  # argparse's "invalid int value: ..."
 
 
 def _add_common(sub):
-    sub.add_argument("--tol", type=_tolerance, default=DEFAULT_QP_TOL,
-                     help="decision tolerance on the QP minimum")
     sub.add_argument("--output", choices=("text", "json"), default="text")
 
 
@@ -268,8 +260,6 @@ def _add_check(commands, name: str, help_text: str) -> None:
     sub = commands.add_parser(name, help=help_text)
     sub.add_argument("csv")
     _add_common(sub)
-    sub.add_argument("--max-iter", type=_iteration_cap, default=DEFAULT_QP_MAX_ITER,
-                     help="cap on QP active-set steps")
     sub.set_defaults(handler=cmd_check)
 
 

@@ -19,7 +19,6 @@ scale-free.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,10 @@ STATUS_EXISTS = "exists_unique"
 STATUS_SEPARATED = "separated"
 STATUS_RANK_DEFICIENT = "rank_deficient"
 
+# The decision threshold on the QP minimum and the cap on active-set steps
+# are fixed, not options. The rows are unit vectors and every weight is at
+# least 1, so a panel separated by one swap has a minimum of exactly 1, and a
+# threshold a caller could raise could pass separated data as existing.
 DEFAULT_QP_TOL = 1e-8
 DEFAULT_KKT_TOL = 1e-6
 DEFAULT_QP_MAX_ITER = 100_000
@@ -194,20 +197,6 @@ def rank_check(data: PanelDataset) -> RankCheckResult:
     return RankCheckResult(p=p, probes=(probe,))
 
 
-def _check_options(tol, max_iter) -> None:
-    """Raise ``ValueError`` unless ``tol`` is a number in (0, 1) and
-    ``max_iter`` an integer >= 0.
-
-    The rows are unit vectors and every weight is at least 1, so a panel
-    separated by a single swap has a QP minimum of exactly 1: a tolerance of
-    1 or more would pass it as existing.
-    """
-    if not (isinstance(tol, numbers.Real) and 0.0 < tol < 1.0):
-        raise ValueError(f"tol must be a number in (0, 1), got {tol!r}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
-        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
-
-
 def _reject_overflowing_spans(data: PanelDataset) -> None:
     """Raise :class:`PanelDataError` if an informative individual's x_s - x_t overflows."""
     with np.errstate(over="ignore"):
@@ -218,20 +207,22 @@ def _reject_overflowing_spans(data: PanelDataset) -> None:
                              " the largest float between two periods; rescale them")
 
 
-def _qp_report(problem: QpProblem, tol: float, max_iter: int,
-               rank: RankCheckResult | None = None, **fields) -> ExistenceReport:
+def _qp_report(problem: QpProblem, rank: RankCheckResult | None = None,
+               **fields) -> ExistenceReport:
     """Solve the QP over ``problem`` and build the report of its verdict.
 
     A separated report carries the unit direction u*/|u*| and its KKT margin
     min_k w_k'u*/|u*|. A failed ``rank`` condition overrides the status with
     ``rank_deficient`` and keeps them. Raises :class:`QpConvergenceError`
-    when the solver hits its cap on active-set steps.
+    when the solver takes ``DEFAULT_QP_MAX_ITER`` active-set steps undecided;
+    the cap is read here, at each call.
     """
-    _, q, u, iters, flag, viol = qp_minimize(problem.normalized, tol, DEFAULT_KKT_TOL, max_iter)
+    _, q, u, iters, flag, viol = qp_minimize(problem.normalized, DEFAULT_QP_TOL,
+                                             DEFAULT_KKT_TOL, DEFAULT_QP_MAX_ITER)
     if flag == QP_MAXITER:
         raise QpConvergenceError(
-            f"QP did not converge; raise iteration cap: q={q:.6g}, KKT violation"
-            f" {viol:.3g} after {iters} active-set steps",
+            f"QP did not converge: q={q:.6g}, KKT violation {viol:.3g}"
+            f" after {iters} active-set steps",
             flag=flag, q=q, kkt_violation=viol, iterations=iters,
         )
     status, direction, margin = STATUS_EXISTS, None, None
@@ -243,26 +234,24 @@ def _qp_report(problem: QpProblem, tol: float, max_iter: int,
         fields["message"] = (f"covariates vary within individuals in only"
                              f" {rank.probes[0].rank} of {rank.p} directions")
     return ExistenceReport(status=status, qp_min=q, direction=direction, iterations=iters,
-                           n_constraints=problem.size, tolerance=tol, kkt_margin=margin,
-                           rank=rank, **fields)
+                           n_constraints=problem.size, tolerance=DEFAULT_QP_TOL,
+                           kkt_margin=margin, rank=rank, **fields)
 
 
-def detect_panel_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
-                            max_iter: int = DEFAULT_QP_MAX_ITER) -> ExistenceReport:
+def detect_panel_separation(data: PanelDataset) -> ExistenceReport:
     """Decide whether the conditional ML estimate exists and is unique.
 
     Builds the single-swap QP over all informative individuals and
     minimizes |sum_k lam_k w_k|^2 over lam_k >= 1 exactly, by nonnegative
-    least squares in lam - 1. A minimum at most ``tol`` means a finite unique
-    estimate exists; otherwise the data are separated and the optimal
-    combination (unit-normalized) is reported as the separating direction.
-    ``max_iter`` caps the solver's active-set steps. The rank condition is
-    decided as well and, when it fails, overrides the QP verdict with
-    ``rank_deficient``, as for every panel with no nonzero swap (its QP has
-    no row and the minimum 0). Deterministic given inputs. Raises
-    ``ValueError`` unless ``tol`` is in (0, 1) and ``max_iter`` an integer >= 0.
+    least squares in lam - 1. A minimum at most ``DEFAULT_QP_TOL`` (1e-8)
+    means a finite unique estimate exists; otherwise the data are separated
+    and the optimal combination (unit-normalized) is reported as the
+    separating direction. The rank condition is decided as well and, when it
+    fails, overrides the QP verdict with ``rank_deficient``, as for every
+    panel with no nonzero swap (its QP has no row and the minimum 0).
+    Deterministic given inputs. Raises :class:`QpConvergenceError` when the
+    QP takes ``DEFAULT_QP_MAX_ITER`` (100 000) active-set steps undecided.
     """
-    _check_options(tol, max_iter)
     sub, dropped = informative_subset(data)
     rank = rank_check(sub)
     sigma_max = rank.probes[0].singular_values[0]
@@ -272,21 +261,17 @@ def detect_panel_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
         if not np.isfinite(sigma_max):
             raise PanelDataError("the period differences of the covariates are too large"
                                  " to decide their rank; rescale them")
-    return _qp_report(qp_problem_from_panel(sub), tol, max_iter, rank,
-                      dropped_noninformative=dropped)
+    return _qp_report(qp_problem_from_panel(sub), rank, dropped_noninformative=dropped)
 
 
-def detect_pooled_separation(data: PanelDataset, tol: float = DEFAULT_QP_TOL, *,
-                             max_iter: int = DEFAULT_QP_MAX_ITER) -> ExistenceReport:
+def detect_pooled_separation(data: PanelDataset) -> ExistenceReport:
     """Cross-sectional separation check on the stacked observations.
 
     Ignores the panel structure: a weak linear classifier (with intercept)
     that predicts every outcome correctly exists if and only if the QP
     minimum stays away from zero, in which case the pooled logit ML estimate
-    does not exist. Uses the same QP machinery as the panel check on vectors
-    (2y - 1) * (1, x'), and validates ``tol`` and ``max_iter`` as
-    :func:`detect_panel_separation` does.
+    does not exist. Uses the same QP, threshold and step cap as
+    :func:`detect_panel_separation` on vectors (2y - 1) * (1, x').
     """
-    _check_options(tol, max_iter)
     message = "degenerate: one outcome class" if np.unique(data.outcomes).size < 2 else None
-    return _qp_report(qp_problem_from_pooled(data), tol, max_iter, message=message)
+    return _qp_report(qp_problem_from_pooled(data), message=message)

@@ -2,8 +2,8 @@
 
 The CLI reports any :class:`FelogitError` on stderr with exit 1, except a
 :class:`NonexistenceError`, whose report decides the exit code. Invalid
-arguments to the API (a beta of the wrong length, a tolerance that is not a
-finite positive number) raise plain ``ValueError``.
+arguments to the API (a beta of the wrong length, a Newton iteration cap
+that is not an integer >= 0) raise plain ``ValueError``.
 """
 
 from __future__ import annotations
@@ -22,11 +22,13 @@ class NoInformativeIndividualsError(PanelDataError):
 
 
 class QpConvergenceError(FelogitError, RuntimeError):
-    """The separation QP solver hit its cap on active-set steps undecided.
+    """The separation QP solver took its fixed cap of active-set steps
+    (``felogit.detector.DEFAULT_QP_MAX_ITER``, 100 000) undecided.
 
-    Carries the solver state at the stop: its exit ``flag`` (always
-    ``QP_MAXITER``), the last objective value ``q``, the KKT violation
-    ``kkt_violation`` and the number of active-set steps ``iterations``.
+    The cap is a constant, with no option to raise it. Carries the solver
+    state at the stop: its exit ``flag`` (always ``QP_MAXITER``), the last
+    objective value ``q``, the KKT violation ``kkt_violation`` and the
+    number of active-set steps ``iterations``.
     """
 
     def __init__(self, message: str, *, flag: int, q: float, kkt_violation: float,

@@ -17,6 +17,7 @@ pass, so Newton pays one pass per line-search trial.
 
 from __future__ import annotations
 
+import numbers
 import weakref
 from dataclasses import dataclass, field
 
@@ -27,9 +28,7 @@ from .altsets import attribute_batches
 from .detector import (
     STATUS_EXISTS,
     STATUS_SEPARATED,
-    DEFAULT_QP_TOL,
     ExistenceReport,
-    _check_options,
     _reject_overflowing_spans,
     detect_panel_separation,
 )
@@ -192,20 +191,37 @@ def _evaluate(data: PanelDataset, beta, order: int):
     return float(ll.sum()), -gap.sum(axis=0), -cov.sum(axis=0)
 
 
+def _finite(what: str, *values):
+    """``values``; raises :class:`~felogit.errors.PanelDataError` naming
+    ``what`` unless every entry of every value is finite."""
+    for v in values:
+        if not np.isfinite(v).all():
+            raise PanelDataError(f"the {what} is not finite: the covariates are"
+                                 " too large to evaluate the likelihood; rescale them")
+    return values
+
+
 def conditional_loglik(data: PanelDataset, beta) -> float:
     """Log-likelihood of the outcome sequences given their choice totals.
 
     Sums, over informative individuals, the observed score minus the log
     denominator; individuals with constant outcomes contribute exactly zero.
+    Raises :class:`~felogit.errors.PanelDataError` when the value overflows,
+    as sums of large covariates can even where each difference is finite.
     """
-    return _evaluate(data, beta, 0)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        ll, = _evaluate(data, beta, 0)
+    return _finite("log-likelihood", ll)[0]
 
 
 def conditional_score_and_hessian(data: PanelDataset, beta):
     """Score vector and Hessian matrix of the conditional log-likelihood,
     from the softmax mean and covariance of each informative individual's
-    attribute vectors over its alternative sequences."""
-    return _evaluate(data, beta, 2)[1:]
+    attribute vectors over its alternative sequences. Raises
+    :class:`~felogit.errors.PanelDataError` when either overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        _, score, hessian = _evaluate(data, beta, 2)
+    return _finite("score or Hessian", score, hessian)
 
 
 def _solve_spd(neg_hessian: np.ndarray, rhs: np.ndarray):
@@ -213,9 +229,7 @@ def _solve_spd(neg_hessian: np.ndarray, rhs: np.ndarray):
 
     Raises :class:`~felogit.errors.PanelDataError` when -H or rhs (the score
     of a Newton step) is not finite."""
-    if not (np.isfinite(neg_hessian).all() and np.isfinite(rhs).all()):
-        raise PanelDataError("the score or Hessian is not finite: the covariates are"
-                             " too large to evaluate the likelihood; rescale them")
+    _finite("score or Hessian", neg_hessian, rhs)
     p = neg_hessian.shape[0]
     try:
         np.linalg.cholesky(neg_hessian)
@@ -227,12 +241,12 @@ def _solve_spd(neg_hessian: np.ndarray, rhs: np.ndarray):
 
 
 def fit(data: PanelDataset, force: bool = False, *,
-        max_iter: int = DEFAULT_NEWTON_MAX_ITER,
-        tol: float = DEFAULT_QP_TOL) -> CmleFit:
+        max_iter: int = DEFAULT_NEWTON_MAX_ITER) -> CmleFit:
     """Compute the conditional ML estimate, refusing when it does not exist.
 
-    Runs the existence check first. If it reports anything other than
-    ``exists_unique`` and ``force`` is False, raises
+    Runs the existence check first (:func:`~felogit.detector.detect_panel_separation`,
+    with its fixed QP threshold and step cap). If it reports anything other
+    than ``exists_unique`` and ``force`` is False, raises
     :class:`~felogit.errors.NonexistenceError` carrying the report. With
     ``force`` the Newton iteration runs anyway, but the result is flagged
     ``converged = False`` with a diagnostic, since on separated data the
@@ -249,13 +263,13 @@ def fit(data: PanelDataset, force: bool = False, *,
     observed information at the estimate, where the last Newton iterate's
     score and Hessian are reused.
 
-    Raises ``ValueError`` unless ``tol`` (the existence check's QP tolerance)
-    is in (0, 1) and ``max_iter`` (the cap on Newton iterations) is an
-    integer >= 0, and :class:`~felogit.errors.PanelDataError` when the score
-    or Hessian overflows.
+    Raises ``ValueError`` unless ``max_iter`` (the cap on Newton iterations)
+    is an integer >= 0, and :class:`~felogit.errors.PanelDataError` when the
+    log-likelihood, score or Hessian overflows.
     """
-    _check_options(tol, max_iter)
-    gate = detect_panel_separation(data, tol=tol)
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    gate = detect_panel_separation(data)
     spurious = gate.status != STATUS_EXISTS
     if spurious and not force:
         if gate.status == STATUS_SEPARATED:

@@ -7,12 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import (
-    STATUS_EXISTS,
-    DEFAULT_QP_TOL,
-    detect_panel_separation,
-    detect_pooled_separation,
-)
+from .detector import STATUS_EXISTS, detect_panel_separation, detect_pooled_separation
 from .errors import NoInformativeIndividualsError, QpConvergenceError
 from .panel import PanelDataset
 
@@ -101,32 +96,32 @@ class FrequencyReport:
     pooled: DetectorFrequencies
 
 
-def existence_rate(config: SimConfig, *, tol: float = DEFAULT_QP_TOL) -> FrequencyReport:
+def existence_rate(config: SimConfig) -> FrequencyReport:
     """Run both separation detectors on every replication.
 
     A replication counts as "exists" for the panel detector only when the
     full check (rank condition included) reports a unique finite estimate;
     panels with no informative individual at all count as non-existence with
     status ``no_informative_individuals`` and no QP value. A replication on
-    which a QP hits its iteration cap is recorded as ``qp_did_not_converge``
-    (not as existence) instead of aborting the experiment. Both detectors'
-    frequencies are reported side by side without asserting any ordering
-    between them.
+    which a QP takes its fixed cap of active-set steps undecided is recorded
+    as ``qp_did_not_converge`` (not as existence, with no QP value) instead
+    of aborting the experiment. Both detectors' frequencies are reported
+    side by side without asserting any ordering between them.
     """
     detectors = (detect_panel_separation, detect_pooled_separation)
     verdicts = ([], [])
     for rep in range(config.replications):
         data = generate_panel(config, rep)
         for detect, rows in zip(detectors, verdicts):
-            rows.append(_verdict(detect, data, tol))
+            rows.append(_verdict(detect, data))
     panel, pooled = (DetectorFrequencies(*map(list, zip(*rows))) for rows in verdicts)
     return FrequencyReport(config=config, panel=panel, pooled=pooled)
 
 
-def _verdict(detect, data: PanelDataset, tol: float) -> tuple[bool, str, float | None]:
+def _verdict(detect, data: PanelDataset) -> tuple[bool, str, float | None]:
     """``(exists, status, qp_min)`` of one detector on one replication."""
     try:
-        report = detect(data, tol=tol)
+        report = detect(data)
     except NoInformativeIndividualsError:
         return False, STATUS_NO_INFORMATIVE, None
     except QpConvergenceError:

@@ -15,6 +15,7 @@ import felogit.cli as cli
 from felogit import (
     SimConfig,
     cli_report_schema_path,
+    detector,
     detect_panel_separation,
     detect_pooled_separation,
     existence_rate,
@@ -369,6 +370,19 @@ def test_fit_with_overflowing_hessian_exits_1(capsys, tmp_path):
                    " are too large to evaluate the likelihood; rescale them\n")
 
 
+@pytest.mark.parametrize("command", ["check", "pooled-check"])
+def test_qp_at_its_step_cap_exits_1_with_the_solver_state(capsys, tmp_path, monkeypatch, command):
+    # the panel QP of these swaps takes two active-set steps, the pooled one three
+    path = _write(tmp_path, "id,t,y,x1,x2\n1,1,1,-2,0\n1,2,0,0,0\n2,1,1,0,-1\n2,2,0,0,0\n"
+                            "3,1,1,3,4\n3,2,0,0,0\n")
+    assert run_cli(capsys, command, path)[0] == 0
+    monkeypatch.setattr(detector, "DEFAULT_QP_MAX_ITER", 1)
+    code, out, err = run_cli(capsys, command, path, "--output", "json")
+    assert (code, out) == (1, "")
+    assert err.startswith("felogit: error: QP did not converge: q=")
+    assert err.endswith(" after 1 active-set steps\n")
+
+
 SIM_ARGS = ("simulate", "--n", "10", "--T", "4", "--p", "2", "--beta0", "2,-1")
 
 
@@ -399,7 +413,8 @@ def test_out_of_memory_exits_1(capsys, monkeypatch, args, target):
     ("check", "FIXTURE", "--tol", "-1"),
     ("pooled-check", "FIXTURE", "--tol", "0"),
     SIM_ARGS + ("--tol", "nan"),
-    # a one-swap separated panel has a QP minimum of exactly 1
+    # a one-swap separated panel has a QP minimum of exactly 1, so no
+    # threshold is settable: these once passed it as existing
     ("check", "FIXTURE", "--tol", "1"),
     ("check", "FIXTURE", "--tol", "1000"),
     ("fit", "FIXTURE", "--tol", "1"),
@@ -407,7 +422,10 @@ def test_out_of_memory_exits_1(capsys, monkeypatch, args, target):
     SIM_ARGS + ("--tol", "1"),
     SIM_ARGS + ("--tol", "1000"),
     ("fit", "FIXTURE", "--max-iter", "-3"),
+    ("fit", "FIXTURE", "--max-iter", "2.5"),
+    # the QP step cap is fixed too; --max-iter is fit's Newton cap only
     ("check", "FIXTURE", "--max-iter", "-1"),
+    ("pooled-check", "FIXTURE", "--max-iter", "100000"),
 ], ids=" ".join)
 def test_invalid_tol_or_max_iter_is_a_usage_error(capsys, fixture_path, args):
     argv = [str(fixture_path) if a == "FIXTURE" else a for a in args]
@@ -417,7 +435,12 @@ def test_invalid_tol_or_max_iter_is_a_usage_error(capsys, fixture_path, args):
     assert "Traceback" not in err
     assert err.startswith("usage: felogit ")
     option = "--tol" if "--tol" in args else "--max-iter"
-    assert f"error: argument {option}: must be " in err
+    if args[0] == "fit" and option == "--max-iter":
+        problem = "must be an integer >= 0" if args[-1] == "-3" else "invalid int value"
+        assert f"felogit fit: error: argument --max-iter: {problem}" in err
+    else:
+        unknown = " ".join(args[args.index(option):])
+        assert err.endswith(f"felogit: error: unrecognized arguments: {unknown}\n")
 
 
 def test_json_round_trip_and_stability(capsys, fixture_path):
@@ -472,7 +495,11 @@ def _json_payload(capsys, tmp_path, fixture_path, args):
 
 @pytest.mark.parametrize("args", _JSON_CALLS)
 def test_json_payloads_validate_against_schema(capsys, tmp_path, fixture_path, schema, args):
-    jsonschema.validate(_json_payload(capsys, tmp_path, fixture_path, args), schema)
+    payload = _json_payload(capsys, tmp_path, fixture_path, args)
+    jsonschema.validate(payload, schema)
+    payload["options"]["tol"] = 1e-8  # the QP threshold is fixed: no option carries it
+    with pytest.raises(jsonschema.ValidationError, match="'tol' was unexpected"):
+        jsonschema.validate(payload, schema)
 
 
 def _schema_node(node, schema, value):
@@ -604,10 +631,15 @@ def test_one_parser_serves_every_call_with_no_option_carried_over(capsys, fixtur
     assert code == 4 and json.loads(out)["options"]["force"] is True
     code, out, _ = run_cli(capsys, "fit", path, "--output", "json")
     assert code == 2 and json.loads(out)["options"]["force"] is False
-    code, out, _ = run_cli(capsys, "check", path, "--tol", "1e-3", "--output", "json")
-    assert code == 2 and json.loads(out)["existence"]["tolerance"] == 1e-3
+    code, out, _ = run_cli(capsys, "fit", path, "--force", "--max-iter", "1", "--output", "json")
+    assert code == 4 and json.loads(out)["options"] == {"force": True, "max_iter": 1}
+    assert json.loads(out)["fit"]["iterations"] == 1
+    code, out, _ = run_cli(capsys, "fit", path, "--force", "--output", "json")
+    assert code == 4 and json.loads(out)["options"] == {"force": True, "max_iter": 100}
+    assert json.loads(out)["fit"]["iterations"] > 1
     code, out, _ = run_cli(capsys, "check", path, "--output", "json")
-    assert code == 2 and json.loads(out)["existence"]["tolerance"] == 1e-8
+    assert code == 2 and json.loads(out)["options"] == {}
+    assert json.loads(out)["existence"]["tolerance"] == 1e-8
 
 
 def test_check_and_fit_json_do_not_depend_on_row_order(capsys, tmp_path):

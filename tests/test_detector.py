@@ -302,20 +302,35 @@ def test_reports_are_deterministic(fixture_panel):
         assert np.array_equal(pa.singular_values, pb.singular_values)
 
 
-def test_qp_iteration_cap_raises():
-    # swaps x_2 - x_1 = (2, 0), (0, 1), (-3, -4): lam = (1, 4/3, 5/3) on the
-    # unit rows cancels them, which takes two active-set steps
-    data = PanelDataset.from_arrays(
-        np.array([[[-2.0, 0.0], [0.0, 0.0]],
-                  [[0.0, -1.0], [0.0, 0.0]],
-                  [[3.0, 4.0], [0.0, 0.0]]]),
-        np.array([[1, 0], [1, 0], [1, 0]]),
-    )
-    assert detect_panel_separation(data).status == STATUS_EXISTS
-    with pytest.raises(QpConvergenceError, match="raise iteration cap") as info:
-        detect_panel_separation(data, max_iter=1)
-    assert info.value.flag == _kernels.QP_MAXITER
-    assert info.value.iterations == 1
+# swaps x_2 - x_1 = (2, 0), (0, 1), (-3, -4): lam = (1, 4/3, 5/3) on the
+# unit rows cancels them, which takes two active-set steps (the pooled QP three)
+TWO_STEP_PANEL = PanelDataset.from_arrays(
+    np.array([[[-2.0, 0.0], [0.0, 0.0]],
+              [[0.0, -1.0], [0.0, 0.0]],
+              [[3.0, 4.0], [0.0, 0.0]]]),
+    np.array([[1, 0], [1, 0], [1, 0]]),
+)
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+@pytest.mark.parametrize("detect, build, steps", [
+    (detect_panel_separation, qp_problem_from_panel, 2),
+    (detect_pooled_separation, qp_problem_from_pooled, 3),
+])
+def test_qp_iteration_cap_raises(monkeypatch, detect, build, steps, cap):
+    report = detect(TWO_STEP_PANEL)
+    assert (report.status, report.iterations) == (STATUS_EXISTS, steps)
+    monkeypatch.setattr(detector, "DEFAULT_QP_MAX_ITER", cap)
+    with pytest.raises(QpConvergenceError) as info:
+        detect(TWO_STEP_PANEL)
+    # the error carries the solver's state at the cap
+    _, q, _, iters, flag, viol = _kernels.qp_minimize(
+        build(TWO_STEP_PANEL).normalized, DEFAULT_QP_TOL, DEFAULT_KKT_TOL, cap)
+    err = info.value
+    assert (flag, iters) == (_kernels.QP_MAXITER, cap) and q > DEFAULT_QP_TOL and viol > 0
+    assert (err.flag, err.q, err.kkt_violation, err.iterations) == (flag, q, viol, iters)
+    assert str(err) == (f"QP did not converge: q={q:.6g}, KKT violation {viol:.3g}"
+                        f" after {cap} active-set steps")
 
 
 def test_pooled_problem_shape(fixture_panel):

@@ -17,6 +17,7 @@ from felogit import (
     conditional_score_and_hessian,
     detect_panel_separation,
     detect_pooled_separation,
+    existence_rate,
     fit,
     informative_subset,
 )
@@ -551,28 +552,65 @@ def test_fit_converges_on_a_T40_k20_panel():
 
 
 @pytest.mark.parametrize("options", [
-    {"tol": float("inf")}, {"tol": float("nan")}, {"tol": 0.0}, {"tol": -1e-8},
-    {"max_iter": -1}, {"max_iter": 2.5}, {"max_iter": True}, {"tol": 1.0},
+    {"max_iter": -1}, {"max_iter": 2.5}, {"max_iter": True}, {"tol": 1e-8},
 ])
-@pytest.mark.parametrize("call", [fit, detect_panel_separation, detect_pooled_separation])
+@pytest.mark.parametrize("call", [fit, detect_panel_separation, detect_pooled_separation,
+                                  existence_rate])
 def test_api_rejects_invalid_tol_or_max_iter(fixture_panel, call, options):
     # fit(..., tol=inf) used to pass the separated panel as existing and
-    # return a "converged" beta_hat of 270.93
+    # return a "converged" beta_hat of 270.93; now no call takes a QP
+    # tolerance or step cap, and fit's max_iter is its Newton cap (the
+    # keyword is rejected before existence_rate reads its argument)
     name = next(iter(options))
-    with pytest.raises(ValueError, match=f"^{name} must be "):
-        call(fixture_panel, **options)
+    if call is fit and name == "max_iter":
+        with pytest.raises(ValueError, match="^max_iter must be "):
+            call(fixture_panel, **options)
+    else:
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            call(fixture_panel, **options)
 
 
-def test_likelihood_rejects_covariate_differences_that_overflow():
-    # individual 1's x_2 - x_1 = -2e308 is not a float; warnings are errors under pytest
-    x = np.array([[1e308, -1e308, 0.0], [0.0, 1.0, 2.0], [1.0, 0.0, 3.0]])[:, :, None]
-    data = PanelDataset.from_arrays(x, np.array([[1, 0, 0], [1, 0, 1], [0, 1, 0]]))
-    message = ("covariates of individual 1 differ by more than the largest float"
-               " between two periods; rescale them")
-    with pytest.raises(PanelDataError, match=message):
-        conditional_loglik(data, [0.0])
-    with pytest.raises(PanelDataError, match=message):
-        conditional_score_and_hessian(data, [0.0])
+def _sum_overflow_panel(first, outcomes):
+    """Individual 1 has covariates ``first`` and every individual the outcomes
+    ``outcomes``; the others' covariates are small."""
+    T = len(first)
+    x = np.array([first, np.sin(np.arange(T)), np.cos(np.arange(T))])[:, :, None]
+    return PanelDataset.from_arrays(x, np.array([outcomes] * 3))
+
+
+_DIFFERENCE = "covariates of individual 1 differ by more than the largest float between two periods"
+_OVERFLOWING_LIKELIHOODS = {
+    # individual 1's x_2 - x_1 = -2e308 is not a float
+    "difference": (
+        PanelDataset.from_arrays(np.array([[1e308, -1e308, 0.0], [0.0, 1.0, 2.0],
+                                           [1.0, 0.0, 3.0]])[:, :, None],
+                                 np.array([[1, 0, 0], [1, 0, 1], [0, 1, 0]])),
+        (0.0,), _DIFFERENCE, _DIFFERENCE,
+    ),
+    # every difference is finite, but 1e308 + 1.5e308 is not: an enumerated
+    # (T = 3) set, whose log-likelihood was NaN
+    "enumerated sum": (
+        _sum_overflow_panel([0.0, 1e308, 1.5e308], [1, 0, 1]), (0.0,),
+        "the log-likelihood is not finite", "the score or Hessian is not finite",
+    ),
+    # the same in a recursed (T = 14) set, whose log-likelihood was NaN at
+    # beta = 0 and +inf at beta = 1e-300
+    "recursed sum": (
+        _sum_overflow_panel(np.linspace(0.0, 1.5e308, 14), [1, 0] * 7), (0.0, 1e-300),
+        "the log-likelihood is not finite", "the score or Hessian is not finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _OVERFLOWING_LIKELIHOODS)
+def test_likelihood_rejects_covariate_differences_that_overflow(case):
+    # a typed error, never NaN or inf; warnings are errors under pytest
+    data, betas, loglik_message, score_message = _OVERFLOWING_LIKELIHOODS[case]
+    for beta in betas:
+        with pytest.raises(PanelDataError, match=f"^{loglik_message}.*; rescale them$"):
+            conditional_loglik(data, [beta])
+        with pytest.raises(PanelDataError, match=f"^{score_message}.*; rescale them$"):
+            conditional_score_and_hessian(data, [beta])
 
 
 def test_an_overflowing_noninformative_individual_is_ignored():

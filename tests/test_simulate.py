@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from felogit import PanelDataset, SimConfig, existence_rate, generate_panel
+from felogit import PanelDataset, SimConfig, detector, existence_rate, generate_panel
 
 
 def test_same_seed_and_rep_reproduce_the_panel():
@@ -101,3 +101,23 @@ def test_large_panels_almost_always_exist():
     config = SimConfig(n=200, T=3, p=1, beta0=np.array([1.0]), replications=200, seed=7)
     report = existence_rate(config)
     assert report.panel.exists_fraction >= 0.99
+
+
+def test_a_qp_at_its_step_cap_is_recorded_not_raised(monkeypatch):
+    config = SimConfig(n=10, T=4, p=2, beta0=np.array([2.0, -1.0]), replications=12)
+    full = existence_rate(config)
+    monkeypatch.setattr(detector, "DEFAULT_QP_MAX_ITER", 1)
+    capped = existence_rate(config)
+    for side in ("panel", "pooled"):
+        got, want = getattr(capped, side), getattr(full, side)
+        assert "qp_did_not_converge" not in want.status
+        undecided = [s == "qp_did_not_converge" for s in got.status]
+        assert any(undecided)
+        for i, cut in enumerate(undecided):
+            expected = (False, None) if cut else (want.exists[i], want.qp_min[i])
+            assert (got.exists[i], got.qp_min[i]) == expected
+            assert cut or got.status[i] == want.status[i]
+    # the panel QP decides some replications within one step; means skip the rest
+    assert not all(s == "qp_did_not_converge" for s in capped.panel.status)
+    decided = [v for v in capped.panel.qp_min if v is not None]
+    assert capped.panel.qp_min_mean == sum(decided) / len(decided)
