@@ -101,9 +101,10 @@ def _wrap(command: str, input_path, options: dict, **payload) -> dict:
     }
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: dict, render) -> None:
+    """Print the payload as JSON, or the text report that ``render()`` formats."""
     try:
-        print(dumps_payload(payload) if args.output == "json" else text, flush=True)
+        print(dumps_payload(payload) if args.output == "json" else render(), flush=True)
     except BrokenPipeError:  # the reader has gone: not an error; keep the exit flush quiet
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
@@ -144,7 +145,7 @@ def cmd_check(args) -> int:
     detect = detect_panel_separation if panel else detect_pooled_separation
     report = detect(data)
     payload = _wrap(args.command, args.csv, {}, existence=_existence_payload(report))
-    _emit(args, payload, _existence_text(report, panel))
+    _emit(args, payload, lambda: _existence_text(report, panel))
     return _STATUS[report.status][0]
 
 
@@ -180,19 +181,17 @@ def cmd_fit(args) -> int:
             "fit", args.csv, options,
             existence=_existence_payload(report), fit=None, refused=True,
         )
-        text = _existence_text(report, panel=True)
-        text += (
+        _emit(args, payload, lambda: _existence_text(report, panel=True) + (
             "\nrefusing to estimate: no finite maximizer exists, so any fitted"
             " numbers would describe the solver, not the data (use --force to"
             " see them anyway)"
-        )
-        _emit(args, payload, text)
+        ))
         return _STATUS[report.status][0]
     payload = _wrap(
         "fit", args.csv, options,
         existence=_existence_payload(result.gate), fit=_fit_payload(result), refused=False,
     )
-    _emit(args, payload, _fit_text(result))
+    _emit(args, payload, lambda: _fit_text(result))
     if not result.converged:
         return EXIT_NONCONVERGED
     return EXIT_OK
@@ -228,7 +227,7 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
         parser.error(str(err))
     report = existence_rate(config)
     payload = _wrap("simulate", None, {}, simulate=_simulate_payload(report))
-    _emit(args, payload, _simulate_text(report))
+    _emit(args, payload, lambda: _simulate_text(report))
     return EXIT_OK
 
 

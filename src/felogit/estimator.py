@@ -11,8 +11,9 @@ without enumerating, so no C(T, k) is too large. What does not depend on
 beta (the enumerated attribute differences, the other rows' covariates and
 observed attribute sums) is built once per panel, on first use, and kept
 for as long as the panel lives; each evaluation does only the work at beta,
-and gives value, score and Hessian from one enumerated and one recursion
-pass, so Newton pays one pass per line-search trial.
+and gives value, score and Hessian from one enumerated pass per
+alternative-set size (totals k and T - k share one) and one recursion pass,
+so Newton pays one pass per line-search trial.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from ._kernels import logdenom_batch
 from .altsets import attribute_batches
 from .detector import (
@@ -87,16 +89,19 @@ def _validate_beta(beta, p: int) -> np.ndarray:
 class _Layout:
     """The beta-free part of one panel's conditional likelihood.
 
-    ``enumerated`` holds, per chunk of :func:`~felogit.altsets.attribute_batches`,
-    the row positions and the differences a_r - a_obs of each alternative's
-    attribute vector from the observed one's, so the observed alternative
-    scores exactly 0. They are stored alternative-major, (C(T, k), p, m) for
-    m rows, so that every sum over the alternatives adds whole rows of
-    individuals; the batch's attribute vectors already come in that order,
-    and the observed one's are subtracted from them in place, with no
-    transposed copy. ``rest`` holds the positions of the other informative rows,
-    with their covariates, choice totals and observed attribute sums
-    sum_t y_t x_t.
+    ``enumerated`` holds, per block of rows whose alternative sets have the
+    same size (totals k and T - k), the row positions and the differences
+    a_r - a_obs of each alternative's attribute vector from the observed
+    one's, so the observed alternative scores exactly 0. They are stored
+    alternative-major, (C(T, k), p, m) for m rows, so that every sum over the
+    alternatives adds whole rows of individuals; the batch's attribute
+    vectors already come in that order, and the observed one's are
+    subtracted from them in place, with no transposed copy. A block joins
+    whole chunks of :func:`~felogit.altsets.attribute_batches` while it
+    holds at most ``_kernels._BATCH_CELL_BUDGET`` cells, and only a block of
+    several chunks is copied. ``rest`` holds the positions of the other
+    informative rows, with their covariates, choice totals and observed
+    attribute sums sum_t y_t x_t.
     """
 
     enumerated: list[tuple[np.ndarray, np.ndarray]]
@@ -110,6 +115,13 @@ class _Layout:
 _LAYOUTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+def _joined(chunks: list) -> tuple[np.ndarray, np.ndarray]:
+    """One ``(idx, diff)`` block of same-size chunks, their rows in order."""
+    if len(chunks) == 1:
+        return chunks[0]
+    return np.concatenate([i for i, _ in chunks]), np.concatenate([d for _, d in chunks], axis=2)
+
+
 def _layout(data: PanelDataset) -> _Layout:
     """The panel's :class:`_Layout`, built on first use from one enumeration."""
     layout = _LAYOUTS.get(data)
@@ -118,12 +130,18 @@ def _layout(data: PanelDataset) -> _Layout:
         if max(data.covariates.max(initial=0.0), -data.covariates.min(initial=0.0)) >= 2.0 ** 1022:
             _reject_overflowing_spans(data)
         enumerated = []
+        filling = {}  # per set size C(T, k), the chunks of the block being filled
         rest = data.informative_mask.copy()
         for idx, _, attrs, obs_index in attribute_batches(data):
             diff = attrs.transpose(1, 2, 0)  # the (C(T, k), p, m) array the batch owns
             diff -= diff[obs_index, :, np.arange(idx.size)].T
-            enumerated.append((idx, diff))
             rest[idx] = False
+            block = filling.setdefault(diff.shape[0], [])
+            if block and sum(d.size for _, d in block) + diff.size > _kernels._BATCH_CELL_BUDGET:
+                enumerated.append(_joined(block))
+                block.clear()
+            block.append((idx, diff))
+        enumerated += [_joined(block) for block in filling.values()]
         rows = np.flatnonzero(rest)
         X = data.covariates[rows]
         observed = np.einsum("it,itp->ip", data.outcomes[rows].astype(np.float64), X)

@@ -502,6 +502,16 @@ def test_json_payloads_validate_against_schema(capsys, tmp_path, fixture_path, s
         jsonschema.validate(payload, schema)
 
 
+@pytest.mark.parametrize("args", _JSON_CALLS)
+def test_json_output_formats_no_text_report(monkeypatch, capsys, tmp_path, fixture_path, args):
+    def refuse(*_):
+        raise AssertionError("a text report was formatted for --output json")
+
+    for renderer in ("_existence_text", "_fit_text", "_simulate_text"):
+        monkeypatch.setattr(cli, renderer, refuse)
+    assert isinstance(_json_payload(capsys, tmp_path, fixture_path, args), dict)
+
+
 def _schema_node(node, schema, value):
     """``node`` with ``$ref`` resolved, and of a ``oneOf`` the branch that
     is not null when ``value`` is not None."""

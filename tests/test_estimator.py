@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -20,6 +21,8 @@ from felogit import (
     existence_rate,
     fit,
     informative_subset,
+    load_csv,
+    separated_panel_path,
 )
 from felogit import _kernels
 from felogit.altsets import _alternatives, attribute_batches, observed_row_index
@@ -456,18 +459,24 @@ def _layout_panel(rng):
 @pytest.mark.parametrize("budget", [1, None])
 def test_layout_is_the_period_ordered_sum_of_differences(monkeypatch, budget):
     # the plain definition: a_r = sum of x_t - x_1 over the periods r chooses,
-    # added in period order, and each alternative's difference a_r - a_obs
+    # added in period order, and each alternative's difference a_r - a_obs,
+    # read with each row's own total, since totals k and T - k share a block
     if budget is not None:
         monkeypatch.setattr(_kernels, "_BATCH_CELL_BUDGET", budget)
     rng = np.random.default_rng(163)
     covered = set()
+    mixed = False
     for _ in range(100):
         data = _layout_panel(rng)
         T, p = data.T, data.p
         for idx, diff in estimator._layout(data).enumerated:
+            totals = data.choice_totals[idx]
+            # one set size per block, within the budget unless it is one row
+            assert {math.comb(T, int(k)) for k in totals} == {diff.shape[0]}
+            assert diff.size <= _kernels._BATCH_CELL_BUDGET or idx.size == 1
+            assert diff.shape == (diff.shape[0], p, idx.size) and diff.flags.c_contiguous
+            mixed |= np.unique(totals).size > 1
             X = data.covariates[idx]
-            alts = _alternatives(T, int(data.choice_totals[idx[0]]))
-            assert diff.shape == (alts.shape[0], p, idx.size) and diff.flags.c_contiguous
             for j, i in enumerate(idx):
                 d = X[j] - X[j, :1]
 
@@ -478,16 +487,70 @@ def test_layout_is_the_period_ordered_sum_of_differences(monkeypatch, budget):
                     return a
 
                 observed = attrs(data.outcomes[i])
-                want = np.array([attrs(r) - observed for r in alts])
+                want = np.array([attrs(r) - observed for r in _alternatives(T, int(totals[j]))])
                 assert np.ascontiguousarray(diff[:, :, j]).tobytes() == want.tobytes()
                 obs = observed_row_index(data.outcomes[i])
                 assert diff[obs, :, j].tobytes() == np.zeros(p).tobytes()  # +0.0 exactly
             if p >= 2:  # einsum adds in period order too, except on its p = 1 loop
-                ein = np.einsum("rt,itp->irp", alts, X - X[:, :1])
-                ein -= ein[np.arange(idx.size), observed_row_index(data.outcomes[idx])][:, None]
-                assert np.ascontiguousarray(ein.transpose(1, 2, 0)).tobytes() == diff.tobytes()
+                for k in np.unique(totals):
+                    rows = np.flatnonzero(totals == k)
+                    ein = np.einsum("rt,itp->irp", _alternatives(T, int(k)), X[rows] - X[rows, :1])
+                    obs = observed_row_index(data.outcomes[idx[rows]])
+                    ein -= ein[np.arange(rows.size), obs][:, None]
+                    assert (np.ascontiguousarray(ein.transpose(1, 2, 0)).tobytes()
+                            == np.ascontiguousarray(diff[:, :, rows]).tobytes())
             covered.add((T > 7, p))
     assert covered >= {(False, p) for p in range(1, 6)} | {(True, p) for p in range(2, 6)}
+    # a one-cell budget keeps every row alone; the default one merges k and T - k
+    assert mixed == (budget is None)
+
+
+def _chunk_layout(data: PanelDataset) -> list:
+    """The enumerated blocks as :func:`attribute_batches` yields them, one
+    per chunk of one choice total, with nothing merged."""
+    blocks = []
+    for idx, _, attrs, obs_index in attribute_batches(data):
+        diff = attrs.transpose(1, 2, 0)
+        diff -= diff[obs_index, :, np.arange(idx.size)].T
+        blocks.append((idx, diff))
+    return blocks
+
+
+def _evaluations(data: PanelDataset, beta) -> list:
+    """The bytes of every value ``_evaluate`` returns at orders 0 and 2."""
+    return [np.asarray(v).tobytes()
+            for order in (0, 2) for v in estimator._evaluate(data, beta, order)]
+
+
+@pytest.mark.parametrize("budget", [1, 500, None])
+def test_merged_layout_evaluates_the_same_bits_as_one_block_per_chunk(monkeypatch, budget):
+    # rows of totals k and T - k share a block; every operation on a block is
+    # per row or a sum over alternatives taken one at a time, so the bits of
+    # value, score and Hessian cannot depend on which rows share it
+    if budget is not None:
+        monkeypatch.setattr(_kernels, "_BATCH_CELL_BUDGET", budget)
+    monkeypatch.setattr(estimator, "_LAYOUTS", weakref.WeakKeyDictionary())
+    rng = np.random.default_rng(167)
+    merges = 0
+    for trial in range(60):
+        data = _layout_panel(rng) if trial % 2 else random_panel(rng, T=int(rng.integers(2, 9)),
+                                                                   p_max=4, n_max=30)
+        layout = estimator._layout(data)
+        chunks = _chunk_layout(data)
+        merges += len(chunks) - len(layout.enumerated)
+        betas = [np.zeros(data.p)] + [s * rng.standard_normal(data.p) for s in (0.3, 1.0, 4.0)]
+        with np.errstate(over="ignore", invalid="ignore"):  # at 10^300 scales, inf and NaN too
+            merged = [_evaluations(data, b) for b in betas]
+            estimator._LAYOUTS[data] = dataclasses.replace(layout, enumerated=chunks)
+            assert [_evaluations(data, b) for b in betas] == merged
+    assert (merges > 0) == (budget != 1)
+
+
+def test_the_bundled_panel_is_one_enumerated_block():
+    # T = 3: totals 1 and 2 both have three alternatives
+    data = load_csv(separated_panel_path())
+    (idx, diff), = estimator._layout(data).enumerated
+    assert diff.shape[0] == 3 and set(data.choice_totals[idx].tolist()) == {1, 2}
 
 
 def test_fit_enumerates_a_T5_panel_once(monkeypatch):
