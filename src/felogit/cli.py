@@ -3,11 +3,12 @@
 Exit codes: 0 the estimate exists (or the command succeeded), 1 input or
 usage error (or out of memory, or a QP that took its step cap undecided),
 2 separated data, 3 rank condition failed, 4 ``fit`` did not converge: a
-forced fit on a gated panel, or its ``--max-iter`` Newton cap. The
-existence checks have no options: their QP threshold (1e-8) and step cap
-(100 000) are fixed in :mod:`felogit.detector`. JSON payloads spell each
-float as its shortest round-trip ``repr``, so parse(serialize(x)) is exact
-and re-serializing is byte-stable.
+forced fit on a gated panel, or Newton at its fixed cap of 100 iterations
+(:data:`felogit.estimator.DEFAULT_NEWTON_MAX_ITER`). No command takes a
+tuning option: the existence checks' QP threshold (1e-8) and step cap
+(100 000) are fixed in :mod:`felogit.detector`, and ``fit`` takes only
+``--force``. JSON payloads spell each float as its shortest round-trip
+``repr``, so parse(serialize(x)) is exact and re-serializing is byte-stable.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .detector import (
     detect_pooled_separation,
 )
 from .errors import FelogitError, NonexistenceError
-from .estimator import DEFAULT_NEWTON_MAX_ITER, CmleFit, fit
+from .estimator import CmleFit, fit
 from .panel import load_csv
 from .simulate import DetectorFrequencies, FrequencyReport, SimConfig, existence_rate
 
@@ -101,10 +102,11 @@ def _wrap(command: str, input_path, options: dict, **payload) -> dict:
     }
 
 
-def _emit(args, payload: dict, render) -> None:
-    """Print the payload as JSON, or the text report that ``render()`` formats."""
+def _emit(args, payload, render) -> None:
+    """Print the JSON payload that ``payload()`` builds, or the text report
+    that ``render()`` formats; only the one asked for is made."""
     try:
-        print(dumps_payload(payload) if args.output == "json" else render(), flush=True)
+        print(dumps_payload(payload()) if args.output == "json" else render(), flush=True)
     except BrokenPipeError:  # the reader has gone: not an error; keep the exit flush quiet
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
@@ -144,8 +146,8 @@ def cmd_check(args) -> int:
     panel = args.command == "check"
     detect = detect_panel_separation if panel else detect_pooled_separation
     report = detect(data)
-    payload = _wrap(args.command, args.csv, {}, existence=_existence_payload(report))
-    _emit(args, payload, lambda: _existence_text(report, panel))
+    _emit(args, lambda: _wrap(args.command, args.csv, {}, existence=_existence_payload(report)),
+          lambda: _existence_text(report, panel))
     return _STATUS[report.status][0]
 
 
@@ -172,29 +174,23 @@ def _fit_text(result: CmleFit) -> str:
 
 def cmd_fit(args) -> int:
     data = load_csv(args.csv)
-    options = {"force": args.force, "max_iter": args.max_iter}
+    options = {"force": args.force}
     try:
-        result = fit(data, force=args.force, max_iter=args.max_iter)
+        result = fit(data, force=args.force)
     except NonexistenceError as err:
         report = err.report
-        payload = _wrap(
-            "fit", args.csv, options,
-            existence=_existence_payload(report), fit=None, refused=True,
-        )
-        _emit(args, payload, lambda: _existence_text(report, panel=True) + (
-            "\nrefusing to estimate: no finite maximizer exists, so any fitted"
-            " numbers would describe the solver, not the data (use --force to"
-            " see them anyway)"
-        ))
+        _emit(args, lambda: _wrap("fit", args.csv, options, existence=_existence_payload(report),
+                                  fit=None, refused=True),
+              lambda: _existence_text(report, panel=True) + (
+                  "\nrefusing to estimate: no finite maximizer exists, so any fitted"
+                  " numbers would describe the solver, not the data (use --force to"
+                  " see them anyway)"
+              ))
         return _STATUS[report.status][0]
-    payload = _wrap(
-        "fit", args.csv, options,
-        existence=_existence_payload(result.gate), fit=_fit_payload(result), refused=False,
-    )
-    _emit(args, payload, lambda: _fit_text(result))
-    if not result.converged:
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    _emit(args, lambda: _wrap("fit", args.csv, options, existence=_existence_payload(result.gate),
+                              fit=_fit_payload(result), refused=False),
+          lambda: _fit_text(result))
+    return EXIT_OK if result.converged else EXIT_NONCONVERGED
 
 
 def _simulate_text(report: FrequencyReport) -> str:
@@ -226,8 +222,8 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
     except ValueError as err:
         parser.error(str(err))
     report = existence_rate(config)
-    payload = _wrap("simulate", None, {}, simulate=_simulate_payload(report))
-    _emit(args, payload, lambda: _simulate_text(report))
+    _emit(args, lambda: _wrap("simulate", None, {}, simulate=_simulate_payload(report)),
+          lambda: _simulate_text(report))
     return EXIT_OK
 
 
@@ -238,17 +234,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
-
-
-def _iteration_cap(text: str) -> int:
-    """argparse type of ``fit --max-iter``: an integer >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return value
-
-
-_iteration_cap.__name__ = "int"  # argparse's "invalid int value: ..."
 
 
 def _add_common(sub):
@@ -274,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--force", action="store_true",
                        help="estimate even when the existence check fails")
     _add_common(fit_p)
-    fit_p.add_argument("--max-iter", type=_iteration_cap, default=DEFAULT_NEWTON_MAX_ITER,
-                       help="Newton iteration cap")
     fit_p.set_defaults(handler=cmd_fit)
 
     _add_check(commands, "pooled-check", "cross-sectional separation check on stacked rows")

@@ -2,8 +2,7 @@
 
 The CLI reports any :class:`FelogitError` on stderr with exit 1, except a
 :class:`NonexistenceError`, whose report decides the exit code. Invalid
-arguments to the API (a beta of the wrong length, a Newton iteration cap
-that is not an integer >= 0) raise plain ``ValueError``.
+arguments to the API (a beta of the wrong length) raise plain ``ValueError``.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ so Newton pays one pass per line-search trial.
 
 from __future__ import annotations
 
-import numbers
 import weakref
 from dataclasses import dataclass, field
 
@@ -258,8 +257,7 @@ def _solve_spd(neg_hessian: np.ndarray, rhs: np.ndarray):
         return np.linalg.solve(neg_hessian + ridge * np.eye(p), rhs), ridge
 
 
-def fit(data: PanelDataset, force: bool = False, *,
-        max_iter: int = DEFAULT_NEWTON_MAX_ITER) -> CmleFit:
+def fit(data: PanelDataset, force: bool = False) -> CmleFit:
     """Compute the conditional ML estimate, refusing when it does not exist.
 
     Runs the existence check first (:func:`~felogit.detector.detect_panel_separation`,
@@ -281,12 +279,15 @@ def fit(data: PanelDataset, force: bool = False, *,
     observed information at the estimate, where the last Newton iterate's
     score and Hessian are reused.
 
-    Raises ``ValueError`` unless ``max_iter`` (the cap on Newton iterations)
-    is an integer >= 0, and :class:`~felogit.errors.PanelDataError` when the
-    log-likelihood, score or Hessian overflows.
+    Newton stops after ``DEFAULT_NEWTON_MAX_ITER`` (100) iterations, and an
+    estimate left there is reported with ``converged = False``. The cap is
+    fixed: where the estimate exists, Newton converges in a few steps, and on
+    a panel where it does not (covariates scaled by 2**500) a cap of 1 000
+    ends at the same beta as 100.
+
+    Raises :class:`~felogit.errors.PanelDataError` when the log-likelihood,
+    score or Hessian overflows.
     """
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
-        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     gate = detect_panel_separation(data)
     spurious = gate.status != STATUS_EXISTS
     if spurious and not force:
@@ -301,7 +302,7 @@ def fit(data: PanelDataset, force: bool = False, *,
     score, hessian = conditional_score_and_hessian(data, beta)
     trace: list[NewtonStep] = []
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_NEWTON_MAX_ITER + 1):
         score_sup = float(np.abs(score).max())
         if score_sup <= DEFAULT_GRAD_TOL:
             trace.append(NewtonStep(it, ll, score_sup, 0.0, float(np.linalg.norm(beta))))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import felogit.cli as cli
+import felogit.estimator as estimator
 from felogit import (
     SimConfig,
     cli_report_schema_path,
@@ -217,10 +218,11 @@ def test_fit_triple_closed_form(capsys, tmp_path):
     assert payload["fit"]["converged"] is True
 
 
-def test_fit_capped_at_max_iter_exits_4_unforced(capsys, tmp_path):
+def test_fit_capped_at_max_iter_exits_4_unforced(monkeypatch, capsys, tmp_path):
     # the estimate exists, so nothing is forced; one Newton step does not converge
+    monkeypatch.setattr(estimator, "DEFAULT_NEWTON_MAX_ITER", 1)
     path = _write(tmp_path, TRIPLE_CSV)
-    code, out, _ = run_cli(capsys, "fit", path, "--max-iter", "1")
+    code, out, _ = run_cli(capsys, "fit", path)
     assert code == 4
     assert out.splitlines()[0] == "FIT: conditional maximum likelihood estimate"
     assert "converged: False" in out
@@ -421,9 +423,9 @@ def test_out_of_memory_exits_1(capsys, monkeypatch, args, target):
     ("fit", "FIXTURE", "--force", "--tol", "1000"),
     SIM_ARGS + ("--tol", "1"),
     SIM_ARGS + ("--tol", "1000"),
+    # the QP step cap and the Newton cap are fixed too
     ("fit", "FIXTURE", "--max-iter", "-3"),
     ("fit", "FIXTURE", "--max-iter", "2.5"),
-    # the QP step cap is fixed too; --max-iter is fit's Newton cap only
     ("check", "FIXTURE", "--max-iter", "-1"),
     ("pooled-check", "FIXTURE", "--max-iter", "100000"),
 ], ids=" ".join)
@@ -435,12 +437,8 @@ def test_invalid_tol_or_max_iter_is_a_usage_error(capsys, fixture_path, args):
     assert "Traceback" not in err
     assert err.startswith("usage: felogit ")
     option = "--tol" if "--tol" in args else "--max-iter"
-    if args[0] == "fit" and option == "--max-iter":
-        problem = "must be an integer >= 0" if args[-1] == "-3" else "invalid int value"
-        assert f"felogit fit: error: argument --max-iter: {problem}" in err
-    else:
-        unknown = " ".join(args[args.index(option):])
-        assert err.endswith(f"felogit: error: unrecognized arguments: {unknown}\n")
+    unknown = " ".join(args[args.index(option):])
+    assert err.endswith(f"felogit: error: unrecognized arguments: {unknown}\n")
 
 
 def test_json_round_trip_and_stability(capsys, fixture_path):
@@ -497,19 +495,34 @@ def _json_payload(capsys, tmp_path, fixture_path, args):
 def test_json_payloads_validate_against_schema(capsys, tmp_path, fixture_path, schema, args):
     payload = _json_payload(capsys, tmp_path, fixture_path, args)
     jsonschema.validate(payload, schema)
-    payload["options"]["tol"] = 1e-8  # the QP threshold is fixed: no option carries it
-    with pytest.raises(jsonschema.ValidationError, match="'tol' was unexpected"):
-        jsonschema.validate(payload, schema)
+    options = payload["options"]
+    # the QP threshold and the Newton cap are fixed: no option carries them
+    for key, value in (("tol", 1e-8), ("max_iter", 100)):
+        payload["options"] = {**options, key: value}
+        with pytest.raises(jsonschema.ValidationError, match=f"'{key}' was unexpected"):
+            jsonschema.validate(payload, schema)
 
 
+# per output format, the builders of the other format's report
+_OTHER_BUILDERS = {
+    "json": ("_existence_text", "_fit_text", "_simulate_text"),
+    "text": ("_wrap", "_existence_payload", "_fit_payload", "_simulate_payload"),
+}
+
+
+@pytest.mark.parametrize("output", _OTHER_BUILDERS)
 @pytest.mark.parametrize("args", _JSON_CALLS)
-def test_json_output_formats_no_text_report(monkeypatch, capsys, tmp_path, fixture_path, args):
-    def refuse(*_):
-        raise AssertionError("a text report was formatted for --output json")
+def test_each_output_builds_only_its_own_report(monkeypatch, capsys, tmp_path, fixture_path, args,
+                                                 output):
+    argv = [*_resolve_args(tmp_path, fixture_path, args), "--output", output]
+    expected = run_cli(capsys, *argv)
 
-    for renderer in ("_existence_text", "_fit_text", "_simulate_text"):
-        monkeypatch.setattr(cli, renderer, refuse)
-    assert isinstance(_json_payload(capsys, tmp_path, fixture_path, args), dict)
+    def refuse(*_, **__):
+        raise AssertionError(f"a report not asked for was built for --output {output}")
+
+    for builder in _OTHER_BUILDERS[output]:
+        monkeypatch.setattr(cli, builder, refuse)
+    assert run_cli(capsys, *argv) == expected
 
 
 def _schema_node(node, schema, value):
@@ -634,18 +647,21 @@ def test_pooled_check_decides_the_overflowing_panel(capsys, tmp_path, overflow):
     assert out.startswith("EXISTS: ")
 
 
-def test_one_parser_serves_every_call_with_no_option_carried_over(capsys, fixture_path):
+def test_one_parser_serves_every_call_with_no_option_carried_over(monkeypatch, capsys,
+                                                                  fixture_path):
     path = str(fixture_path)
     assert cli._parser() is cli._parser()
     code, out, _ = run_cli(capsys, "fit", path, "--force", "--output", "json")
     assert code == 4 and json.loads(out)["options"]["force"] is True
     code, out, _ = run_cli(capsys, "fit", path, "--output", "json")
     assert code == 2 and json.loads(out)["options"]["force"] is False
-    code, out, _ = run_cli(capsys, "fit", path, "--force", "--max-iter", "1", "--output", "json")
-    assert code == 4 and json.loads(out)["options"] == {"force": True, "max_iter": 1}
+    with monkeypatch.context() as patch:  # fit reads its fixed Newton cap at each call
+        patch.setattr(estimator, "DEFAULT_NEWTON_MAX_ITER", 1)
+        code, out, _ = run_cli(capsys, "fit", path, "--force", "--output", "json")
+    assert code == 4 and json.loads(out)["options"] == {"force": True}
     assert json.loads(out)["fit"]["iterations"] == 1
     code, out, _ = run_cli(capsys, "fit", path, "--force", "--output", "json")
-    assert code == 4 and json.loads(out)["options"] == {"force": True, "max_iter": 100}
+    assert code == 4 and json.loads(out)["options"] == {"force": True}
     assert json.loads(out)["fit"]["iterations"] > 1
     code, out, _ = run_cli(capsys, "check", path, "--output", "json")
     assert code == 2 and json.loads(out)["options"] == {}

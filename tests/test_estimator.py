@@ -290,6 +290,67 @@ def test_newton_converges_when_gains_fall_below_loglik_roundoff():
     assert result.iterations < 20
 
 
+# an n=3, T=7 panel on which one full Newton step overshoots: the line
+# search halves it twice, to 0.25
+BACKTRACK_X = [[0.12, 0.197, 0.0, 0.002, -2.84, -0.507, 0.651],
+               [0.096, -23.793, 7.92, -0.052, 0.097, -1.124, 0.109],
+               [0.003, -0.414, 0.013, -0.01, -0.222, 5.129, -0.095]]
+BACKTRACK_Y = [[0, 0, 0, 0, 1, 1, 0], [0, 1, 0, 0, 1, 1, 1], [1, 1, 0, 1, 1, 0, 1]]
+
+
+def test_newton_backtracks_to_the_enumerated_maximizer():
+    result = fit(_panel(BACKTRACK_X, BACKTRACK_Y))
+    assert result.gate.status == STATUS_EXISTS and result.converged
+    assert result.beta_hat[0] == pytest.approx(-6.007835972012832, rel=1e-12)
+    assert [s.step_size for s in result.trace] == [1.0] * 10 + [0.25, 1.0, 0.0]
+    x, y = np.asarray(BACKTRACK_X)[:, :, None], np.asarray(BACKTRACK_Y)
+
+    def loglik(beta):
+        return sum(y[i] @ x[i] @ beta - enum_log_denominator(x[i], y[i], beta) for i in range(3))
+
+    assert abs(central_diff_gradient(loglik, result.beta_hat)[0]) <= 1e-6
+
+
+def test_newton_falls_back_to_steepest_ascent_on_a_descent_step(monkeypatch):
+    solve = estimator._solve_spd
+
+    def reversed_step(neg_hessian, rhs):  # the Newton step negated, the covariance kept
+        delta, ridge = solve(neg_hessian, rhs)
+        return (-delta if rhs.ndim == 1 else delta), ridge
+
+    newton = fit(TRIPLE)
+    monkeypatch.setattr(estimator, "_solve_spd", reversed_step)
+    result = fit(TRIPLE)
+    score, _ = conditional_score_and_hessian(TRIPLE, np.zeros(1))
+    # the first step is the full score, and the ascent still reaches log(1/2)
+    assert (result.trace[0].step_size, result.trace[0].beta_norm) == (1.0, abs(score[0]))
+    assert result.iterations > newton.iterations
+    assert result.converged  # a score of at most 1e-8 leaves beta within 2e-8
+    assert result.beta_hat[0] == pytest.approx(math.log(0.5), abs=2e-8)
+
+
+def test_newton_stops_when_the_line_search_stalls(monkeypatch):
+    evaluate = estimator._evaluate
+    trials = []
+
+    def worse_away_from_zero(data, beta, order):
+        value, *rest = evaluate(data, beta, order)
+        if not np.any(beta):
+            return (value, *rest)
+        trials.append(beta.copy())
+        return (value - 1.0, *rest)
+
+    monkeypatch.setattr(estimator, "_evaluate", worse_away_from_zero)
+    result = fit(TRIPLE)
+    # every trial loses: the step halves from 1 to 2**-53, and once more
+    # would fall below 1e-16
+    assert len(trials) == 54 and np.abs(trials[-1]).max() > 0.0
+    assert [(s.iteration, s.step_size, s.beta_norm) for s in result.trace] == [(1, 0.0, 0.0)]
+    assert not result.converged
+    assert np.array_equal(result.beta_hat, [0.0])
+    assert result.loglik == conditional_loglik(TRIPLE, np.zeros(1))
+
+
 def _long_panel(seed: int) -> PanelDataset:
     """An n=200, T=14, p=3 logit panel: its sets with k in {1, 12, 13} are
     enumerated, the others recursed."""
@@ -345,9 +406,11 @@ def test_loglik_is_the_same_bits_at_every_order():
 
 
 @pytest.mark.parametrize("max_iter", [0, 2])
-def test_capped_fit_reports_score_and_errors_at_its_estimate(max_iter):
+def test_capped_fit_reports_score_and_errors_at_its_estimate(monkeypatch, max_iter):
+    # fit reads its fixed Newton cap at each call
+    monkeypatch.setattr(estimator, "DEFAULT_NEWTON_MAX_ITER", max_iter)
     data = _logit_panel(32)
-    result = fit(data, max_iter=max_iter)
+    result = fit(data)
     assert result.iterations == max_iter
     assert not result.converged
     score, hessian = conditional_score_and_hessian(data, result.beta_hat)
@@ -615,22 +678,18 @@ def test_fit_converges_on_a_T40_k20_panel():
 
 
 @pytest.mark.parametrize("options", [
-    {"max_iter": -1}, {"max_iter": 2.5}, {"max_iter": True}, {"tol": 1e-8},
+    {"max_iter": -1}, {"max_iter": 2.5}, {"max_iter": True}, {"tol": 1e-8}, {"max_iter": 5},
 ])
 @pytest.mark.parametrize("call", [fit, detect_panel_separation, detect_pooled_separation,
                                   existence_rate])
 def test_api_rejects_invalid_tol_or_max_iter(fixture_panel, call, options):
     # fit(..., tol=inf) used to pass the separated panel as existing and
     # return a "converged" beta_hat of 270.93; now no call takes a QP
-    # tolerance or step cap, and fit's max_iter is its Newton cap (the
+    # tolerance or step cap, nor fit a Newton cap, valid or not (the
     # keyword is rejected before existence_rate reads its argument)
     name = next(iter(options))
-    if call is fit and name == "max_iter":
-        with pytest.raises(ValueError, match="^max_iter must be "):
-            call(fixture_panel, **options)
-    else:
-        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
-            call(fixture_panel, **options)
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        call(fixture_panel, **options)
 
 
 def _sum_overflow_panel(first, outcomes):
