@@ -40,6 +40,10 @@ def active_backend() -> str:
 #   C(t,m) = w1 C(t-1,m) + w2 C(t-1,m-1) + w1 w2 d d',
 #   d = h(t-1,m) - h(t-1,m-1) - x_t,
 # the law of total variance, which never subtracts E[aa'] - mu mu'.
+# Any 0 <= k <= T is accepted, but the estimator hands it only
+# k <= floor(T/2): it stores a row with 2k > T as its complement
+# (-x, 1 - y, T - k), since D_k(s) = exp(sum_t s_t) D_{T-k}(-s), so the
+# accumulators there are at most floor(T/2) + 1 cells deep.
 #
 # The accumulators keep rows (individuals) on their last, contiguous axis:
 # f is (k_max+1, rows), h is (k_max+1, p, rows) and C is stored as its upper

@@ -3,9 +3,11 @@
 For an individual with T periods and choice total k, the alternative set is
 every binary sequence of length T summing to k, in lexicographic order. The
 softmax moments over that set cost about C(T, k) (T + p) operations when
-the set is enumerated, against T k p^2 for the denominator recursion in
-:mod:`felogit._kernels`, which also pays a Python-level step per period.
-Measured with numpy, enumeration was the faster of the two up to
+the set is enumerated, against T min(k, T - k) p^2 for the denominator
+recursion in :mod:`felogit._kernels`, which also pays a Python-level step
+per period; the estimator recurses a row with 2k > T on its complement,
+with total T - k. Measured with numpy when the recursion still ran every
+row to its own k, enumeration was the faster of the two up to
 C(T, k) (T + p) <= 8 T k p, so the estimator enumerates those sets (every
 set at T <= 5; k in {1, 12, 13} at T = 14, p = 3) and leaves the rest, of
 any size, to the recursion. The estimator enumerates each panel once and
@@ -27,8 +29,11 @@ from .panel import PanelDataset
 # recursion's earlier rows-first layout with a Python step per (t, m). The
 # estimator now builds the enumeration once per panel, which favours it, and
 # the rows-last recursion that advances every m of a period at once is much
-# faster, which favours recursing. The crossover is unchanged on purpose:
-# moving a set from one path to the other changes the last bits of beta-hat.
+# faster, which favours recursing; so does the complement, which makes a
+# recursed row cost T min(k, T - k) p^2 rather than T k p^2. The crossover,
+# and its asymmetry in k, are unchanged on purpose: moving a set from one
+# path to the other changes the last bits of beta-hat (a rule in
+# min(k, T - k) would recurse the k = 12 sets at T = 14, p = 3).
 _ENUMERATION_ADVANTAGE = 8
 
 

@@ -10,7 +10,11 @@ recursion in :mod:`felogit._kernels`, which carries them next to log D
 without enumerating, so no C(T, k) is too large. What does not depend on
 beta (the enumerated attribute differences, the other rows' covariates and
 observed attribute sums) is built once per panel, on first use, and kept
-for as long as the panel lives; each evaluation does only the work at beta,
+for as long as the panel lives. In it a recursed row with 2k > T is stored
+as its complement (-x, 1 - y, T - k), which has the same log-likelihood,
+score and Hessian, since choosing the k ones is choosing the T - k zeros:
+D_k(s) = exp(sum_t s_t) D_{T-k}(-s). So the recursion never runs past
+floor(T/2). Each evaluation does only the work at beta,
 and gives value, score and Hessian from one enumerated pass per
 alternative-set size (totals k and T - k share one) and one recursion pass,
 so Newton pays one pass per line-search trial.
@@ -61,6 +65,9 @@ class CmleFit:
     below the tolerance, except under ``force`` on a gated dataset, where it
     is always False because any finite point reached there is ``spurious``:
     the existence gate reported anything other than ``exists_unique``.
+    ``diagnostic`` names, on any fit, what makes the numbers suspect: a
+    failed gate, and an observed information at the estimate that was
+    singular, so that the standard errors come from a ridged solve.
     """
 
     beta_hat: np.ndarray
@@ -100,7 +107,12 @@ class _Layout:
     holds at most ``_kernels._BATCH_CELL_BUDGET`` cells, and only a block of
     several chunks is copied. ``rest`` holds the positions of the other
     informative rows, with their covariates, choice totals and observed
-    attribute sums sum_t y_t x_t.
+    attribute sums sum_t y_t x_t. A row with 2k > T is held as its
+    complement: covariates -x, total T - k and observed sum
+    sum_t (1 - y_t)(-x_t), so that every total is at most floor(T/2) and its
+    recursion stops there; the values at beta are the row's own, since the
+    complement's observed score and log D both differ from the row's by
+    -sum_t x_t'beta.
     """
 
     enumerated: list[tuple[np.ndarray, np.ndarray]]
@@ -143,8 +155,14 @@ def _layout(data: PanelDataset) -> _Layout:
         enumerated += [_joined(block) for block in filling.values()]
         rows = np.flatnonzero(rest)
         X = data.covariates[rows]
-        observed = np.einsum("it,itp->ip", data.outcomes[rows].astype(np.float64), X)
-        layout = _LAYOUTS[data] = _Layout(enumerated, rows, X, data.choice_totals[rows], observed)
+        y = data.outcomes[rows].astype(np.float64)
+        k = data.choice_totals[rows]
+        flip = 2 * k > data.T  # recursed on the complement: (-x, 1 - y, T - k)
+        X[flip] *= -1.0
+        y[flip] = 1.0 - y[flip]
+        k = np.where(flip, data.T - k, k)
+        observed = np.einsum("it,itp->ip", y, X)
+        layout = _LAYOUTS[data] = _Layout(enumerated, rows, X, k, observed)
     return layout
 
 
@@ -334,15 +352,14 @@ def fit(data: PanelDataset, force: bool = False) -> CmleFit:
     cov, ridge = _solve_spd(-hessian, np.eye(data.p))
     std_errors = np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
-    diagnostic = None
+    notes = []
     if spurious:
         converged = False
-        diagnostic = (
-            f"existence gate reported {gate.status}; |beta| reached "
-            f"{np.linalg.norm(beta):.6g} and any finite stopping point is spurious"
-        )
-        if ridge > 0.0:
-            diagnostic += "; observed information was singular, standard errors are ridged"
+        notes.append(f"existence gate reported {gate.status}; |beta| reached "
+                     f"{np.linalg.norm(beta):.6g} and any finite stopping point is spurious")
+    if ridge > 0.0:
+        notes.append("observed information was singular, standard errors are ridged")
+    diagnostic = "; ".join(notes) or None
     return CmleFit(
         beta_hat=beta,
         std_errors=std_errors,

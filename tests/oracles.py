@@ -62,11 +62,10 @@ def enum_log_denominator(covariates, outcomes, beta):
     return float(m + np.log(np.exp(sums - m).sum()))
 
 
-def enum_softmax_covariance(covariates, outcomes, beta):
-    """Covariance of the attribute vector sum_t d_t x_t when the sequence d
-    with the observed choice total is drawn with probability proportional to
-    exp(sum_t d_t x_t'beta): minus the Hessian of the log denominator. Sums
-    w (a - mu)(a - mu)' over every sequence, so nothing cancels."""
+def _enum_softmax(covariates, outcomes, beta):
+    """Every attribute vector sum_t d_t x_t over the sequences d with the
+    observed choice total, and its probability, proportional to
+    exp(sum_t d_t x_t'beta)."""
     covariates = np.asarray(covariates, dtype=np.float64)
     outcomes = np.asarray(outcomes)
     beta = np.asarray(beta, dtype=np.float64)
@@ -77,6 +76,21 @@ def enum_softmax_covariance(covariates, outcomes, beta):
     e = attrs @ beta
     w = np.exp(e - e.max())
     w /= w.sum()
+    return attrs, w
+
+
+def enum_softmax_mean(covariates, outcomes, beta):
+    """Mean of the attribute vector under :func:`_enum_softmax`: the
+    gradient of the log denominator."""
+    attrs, w = _enum_softmax(covariates, outcomes, beta)
+    return w @ attrs
+
+
+def enum_softmax_covariance(covariates, outcomes, beta):
+    """Covariance of the attribute vector under :func:`_enum_softmax`: minus
+    the Hessian of the log denominator. Sums w (a - mu)(a - mu)' over every
+    sequence, so nothing cancels."""
+    attrs, w = _enum_softmax(covariates, outcomes, beta)
     centered = attrs - w @ attrs
     return (w[:, None] * centered).T @ centered
 

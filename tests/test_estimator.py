@@ -24,7 +24,7 @@ from felogit import (
     load_csv,
     separated_panel_path,
 )
-from felogit import _kernels
+from felogit import _kernels, altsets
 from felogit.altsets import _alternatives, attribute_batches, observed_row_index
 
 from oracles import (
@@ -32,6 +32,8 @@ from oracles import (
     central_diff_jacobian,
     enum_log_denominator,
     enum_softmax_covariance,
+    enum_softmax_mean,
+    every_total_panel,
     random_panel,
 )
 
@@ -201,6 +203,30 @@ def test_forced_fit_on_separated_data(fixture_panel):
     assert result.loglik > -1e-3  # nearly zero, the telltale of separation
 
 
+def test_a_ridged_standard_error_solve_is_named_on_an_unforced_fit(monkeypatch):
+    # x2 = x1 + 1e-10 noise passes the rank test, but the observed
+    # information at the estimate is singular in floating point
+    rng = np.random.default_rng(1)
+    x1 = rng.standard_normal((400, 4))
+    x2 = x1 + 1e-10 * rng.standard_normal((400, 4))
+    y = (x1 - 0.5 * x2 + rng.logistic(size=(400, 4)) > 0).astype(np.int8)
+    data = PanelDataset.from_arrays(np.stack([x1, x2], axis=2), y)
+    ridges = []
+    solve = estimator._solve_spd
+
+    def recorded(neg_hessian, rhs):
+        delta, ridge = solve(neg_hessian, rhs)
+        ridges.append(ridge)
+        return delta, ridge
+
+    monkeypatch.setattr(estimator, "_solve_spd", recorded)
+    result = fit(data)
+    assert result.gate.status == STATUS_EXISTS and not result.spurious
+    assert ridges[-1] > 0.0  # the standard-error solve
+    assert result.diagnostic == "observed information was singular, standard errors are ridged"
+    assert fit(_logit_panel(32)).diagnostic is None
+
+
 def test_newton_ascent_is_monotone():
     rng = np.random.default_rng(111)
     fitted = 0
@@ -290,19 +316,25 @@ def test_newton_converges_when_gains_fall_below_loglik_roundoff():
     assert result.iterations < 20
 
 
-# an n=3, T=7 panel on which one full Newton step overshoots: the line
-# search halves it twice, to 0.25
-BACKTRACK_X = [[0.12, 0.197, 0.0, 0.002, -2.84, -0.507, 0.651],
-               [0.096, -23.793, 7.92, -0.052, 0.097, -1.124, 0.109],
-               [0.003, -0.414, 0.013, -0.01, -0.222, 5.129, -0.095]]
-BACKTRACK_Y = [[0, 0, 0, 0, 1, 1, 0], [0, 1, 0, 0, 1, 1, 1], [1, 1, 0, 1, 1, 0, 1]]
+# an n=3, T=8 panel on which the second full Newton step overshoots: the
+# line search halves it twice, to 0.25. All three rows are recursed, and the
+# one with k = 5 as its complement (-x, 1 - y, 3).
+BACKTRACK_X = [[-0.001, -1.084, -0.749, 0.001, 0.004, 13.028, -0.722, -0.038],
+               [0.001, 0.105, -0.039, -0.026, -0.004, 0.101, 0.125, -0.261],
+               [0.002, 0.043, -0.389, -1.01, -0.811, -1.203, -0.643, 0.11]]
+BACKTRACK_Y = [[0, 0, 0, 0, 0, 1, 0, 0], [0, 1, 1, 0, 1, 0, 1, 1], [0, 0, 0, 0, 0, 1, 0, 0]]
+# the maximizer of the enumerated log-likelihood of these float64 covariates,
+# from damped Newton in 40-digit arithmetic (mpmath, offline), rounded to float64
+BACKTRACK_BETA = 0.34410460929054765
 
 
 def test_newton_backtracks_to_the_enumerated_maximizer():
-    result = fit(_panel(BACKTRACK_X, BACKTRACK_Y))
+    data = _panel(BACKTRACK_X, BACKTRACK_Y)
+    assert estimator._layout(data).totals.tolist() == [1, 3, 1]
+    result = fit(data)
     assert result.gate.status == STATUS_EXISTS and result.converged
-    assert result.beta_hat[0] == pytest.approx(-6.007835972012832, rel=1e-12)
-    assert [s.step_size for s in result.trace] == [1.0] * 10 + [0.25, 1.0, 0.0]
+    assert result.beta_hat[0] == pytest.approx(BACKTRACK_BETA, rel=1e-12)
+    assert [s.step_size for s in result.trace] == [1.0, 0.25, 1.0, 1.0, 1.0, 0.0]
     x, y = np.asarray(BACKTRACK_X)[:, :, None], np.asarray(BACKTRACK_Y)
 
     def loglik(beta):
@@ -656,6 +688,54 @@ def test_layout_is_freed_with_its_panel(monkeypatch):
     gc.collect()
     assert len(layouts) == 0
 
+
+@pytest.mark.parametrize("T", [7, 8, 14])
+@pytest.mark.parametrize("p, advantage", [(1, None), (3, 0)])
+def test_complemented_rows_match_the_enumeration(monkeypatch, T, p, advantage):
+    # rows with 2k > T are recursed as (-x, 1 - y, T - k); with no advantage
+    # for enumerating, every total 0 < k < T is recursed
+    if advantage is not None:
+        monkeypatch.setattr(altsets, "_ENUMERATION_ADVANTAGE", advantage)
+    rng = np.random.default_rng(170 + T)
+    data = every_total_panel(rng, T, p, signed_zeros=False)
+    layout = estimator._layout(data)
+    k = data.choice_totals[layout.rest]
+    assert (2 * k > T).any() and np.array_equal(layout.totals, np.minimum(k, T - k))
+    if advantage == 0:
+        assert sorted(set(k.tolist())) == list(range(1, T))
+    x, y = data.covariates, data.outcomes
+    for beta in (rng.standard_normal(p), 2.0 * rng.standard_normal(p)):
+        loglik = sum(y[i] @ x[i] @ beta - enum_log_denominator(x[i], y[i], beta)
+                     for i in range(data.n))
+        assert conditional_loglik(data, beta) == pytest.approx(loglik, rel=1e-12, abs=1e-12)
+        score = sum(y[i] @ x[i] - enum_softmax_mean(x[i], y[i], beta) for i in range(data.n))
+        hessian = -sum(enum_softmax_covariance(x[i], y[i], beta) for i in range(data.n))
+        got_score, got_hessian = conditional_score_and_hessian(data, beta)
+        assert np.abs(got_score - score).max() <= 1e-10 * max(1.0, np.abs(score).max())
+        assert np.abs(got_hessian - hessian).max() <= 1e-10 * np.abs(hessian).max()
+
+
+def test_complemented_rows_match_the_plain_recursion_at_T30():
+    # C(30, 15) ~ 1.6e8 sequences: too many to enumerate, so the oracle is
+    # the recursion on the rows as observed, all 0 < k < T of them
+    rng = np.random.default_rng(171)
+    x = rng.standard_normal((60, 30, 2))
+    effects = 2.0 * rng.standard_normal(60)
+    y = (x @ np.array([1.0, -0.5]) + effects[:, None] + rng.logistic(size=(60, 30)) > 0)
+    data = PanelDataset.from_arrays(x, y.astype(np.int8))
+    layout = estimator._layout(data)
+    assert (2 * data.choice_totals[layout.rest] > 30).any()
+    rows = np.flatnonzero(data.informative_mask)
+    X, k = x[rows], data.choice_totals[rows]
+    observed = np.einsum("it,itp->ip", data.outcomes[rows].astype(np.float64), X)
+    for beta in (rng.standard_normal(2), 0.5 * rng.standard_normal(2)):
+        logden, mean, cov = _kernels.logdenom_batch(X @ beta, X, k, order=2)
+        expected = float((observed @ beta - logden).sum())
+        assert conditional_loglik(data, beta) == pytest.approx(expected, rel=1e-12)
+        score, hessian = conditional_score_and_hessian(data, beta)
+        np.testing.assert_allclose(score, (observed - mean).sum(axis=0), rtol=1e-10, atol=1e-10)
+        expected_hessian = -cov.sum(axis=0)
+        assert np.abs(hessian - expected_hessian).max() <= 1e-10 * np.abs(expected_hessian).max()
 
 def test_fit_converges_on_a_T40_k20_panel():
     # C(40, 20) ~ 1.4e11 alternative sequences per individual
