@@ -21,6 +21,14 @@ def _write(tmp_path, text, name="panel.csv"):
     return path
 
 
+@pytest.fixture(params=["by-size", "by-path"])
+def bulk_input(request, monkeypatch):
+    """Runs a test with the bulk pass's size rule as it is, and again with
+    every file handed to ``np.loadtxt`` by its path."""
+    if request.param == "by-path":
+        monkeypatch.setattr(panel, "_BULK_PATH_BYTES", 0)
+
+
 def test_fixture_dimensions(fixture_panel):
     assert (fixture_panel.n, fixture_panel.T, fixture_panel.p) == (10, 3, 1)
     assert fixture_panel.ids.tolist() == list(range(1, 11))
@@ -92,7 +100,7 @@ def test_not_utf8_header_block_is_a_panel_error(tmp_path):
         load_csv(path)
 
 
-def test_not_utf8_past_the_header_block_is_a_panel_error(tmp_path):
+def test_not_utf8_past_the_header_block_is_a_panel_error(tmp_path, bulk_input):
     # past the first 8 KB the bulk pass declines the file and the row-wise
     # reader meets the bad byte
     rows = "".join(f"{i},{t},{t - 1},{i + t}.5\n" for i in range(1, 1001) for t in (1, 2))
@@ -371,13 +379,13 @@ def _render(header, rows, rng, blank_lines=("",)):
     lines = [",".join(header)] + [",".join(row) for row in rows]
     for _ in range(rng.integers(3)):
         lines.insert(rng.integers(1, len(lines) + 1), blank_lines[rng.integers(len(blank_lines))])
-    eol = "\r\n" if rng.integers(2) else "\n"
+    eol = ("\n", "\r\n", "\r")[rng.integers(3)]
     bom = "\ufeff" if rng.integers(2) else ""
     return bom + eol.join(lines) + eol
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_bulk_pass_equals_row_wise_reader_on_valid_files(tmp_path, seed):
+def test_bulk_pass_equals_row_wise_reader_on_valid_files(tmp_path, bulk_input, seed):
     rng = np.random.default_rng(seed)
     header, rows = _fuzz_rows(rng)
     _respell(rows, rng)
@@ -422,7 +430,7 @@ _FAULTS = {
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("fault", list(_FAULTS))
-def test_bulk_pass_equals_row_wise_reader_on_faulty_files(tmp_path, fault, seed):
+def test_bulk_pass_equals_row_wise_reader_on_faulty_files(tmp_path, bulk_input, fault, seed):
     rng = np.random.default_rng([seed, len(fault)])
     header, rows = _fuzz_rows(rng)
     _respell(rows, rng)
@@ -434,7 +442,7 @@ def test_bulk_pass_equals_row_wise_reader_on_faulty_files(tmp_path, fault, seed)
     assert _outcome(load_csv, path) == rows_outcome
 
 
-def test_clean_files_take_the_bulk_pass(tmp_path, fixture_path, monkeypatch):
+def test_clean_files_take_the_bulk_pass(tmp_path, fixture_path, monkeypatch, bulk_input):
     rng = np.random.default_rng(11)
     header, rows = _fuzz_rows(rng)
     _respell(rows, rng)
@@ -449,7 +457,7 @@ def test_clean_files_take_the_bulk_pass(tmp_path, fixture_path, monkeypatch):
     assert [_outcome(load_csv, f) for f in (fixture_path, path)] == expected
 
 
-def test_a_loadtxt_warning_sends_the_file_row_wise(fixture_path, monkeypatch):
+def test_a_loadtxt_warning_sends_the_file_row_wise(fixture_path, monkeypatch, bulk_input):
     # numpy < 2 reads "1.0" as an int64 with only a DeprecationWarning
     expected = _outcome(panel._load_rows, fixture_path)
     loadtxt, row_wise, calls = np.loadtxt, panel._load_rows, []
@@ -468,6 +476,77 @@ def test_a_loadtxt_warning_sends_the_file_row_wise(fixture_path, monkeypatch):
         warnings.simplefilter("ignore")  # load_csv must raise it itself
         assert _outcome(load_csv, fixture_path) == expected
     assert calls == [fixture_path]
+
+
+def _large_panel_text(header="id,t,y,x1,x2"):
+    """A clean 2 000-row panel CSV, above the bulk pass's path threshold."""
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((400, 5, 2))
+    y = rng.integers(0, 2, size=(400, 5))
+    rows = [f"{i + 1},{t + 1},{y[i, t]},{float(x[i, t, 0])!r},{float(x[i, t, 1])!r}"
+            for i in range(400) for t in range(5)]
+    return "\n".join([header] + rows) + "\n"
+
+
+def _loadtxt_inputs(monkeypatch):
+    """The first argument of every ``np.loadtxt`` call, as ``str`` or ``"handle"``."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        calls.append(source if isinstance(source, str) else "handle")
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(panel.np, "loadtxt", spy)
+    return calls
+
+
+def test_the_file_size_picks_the_input_of_the_bulk_pass(tmp_path, monkeypatch):
+    path = _write(tmp_path, _large_panel_text())
+    size = path.stat().st_size
+    assert size > panel._BULK_PATH_BYTES
+    expected = _outcome(panel._load_rows, path)
+    calls = _loadtxt_inputs(monkeypatch)
+    assert _outcome(load_csv, path) == expected
+    assert calls == [str(path)]
+    # at the threshold the path, one byte below it the handle
+    for threshold, source in ((size, str(path)), (size + 1, "handle")):
+        monkeypatch.setattr(panel, "_BULK_PATH_BYTES", threshold)
+        calls.clear()
+        assert _outcome(load_csv, path) == expected
+        assert calls == [source]
+
+
+def test_a_small_file_takes_the_handle(fixture_path, monkeypatch):
+    assert fixture_path.stat().st_size < panel._BULK_PATH_BYTES
+    expected = _outcome(panel._load_rows, fixture_path)
+    calls = _loadtxt_inputs(monkeypatch)
+    assert _outcome(load_csv, fixture_path) == expected
+    assert calls == ["handle"]
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_plain_text_with_a_compressed_suffix_takes_the_handle(tmp_path, monkeypatch, suffix):
+    # numpy would decompress a path with this suffix, and fail on plain text
+    text = _large_panel_text()
+    expected = _outcome(load_csv, _write(tmp_path, text))
+    path = _write(tmp_path, text, "panel.csv" + suffix)
+    assert path.stat().st_size > panel._BULK_PATH_BYTES
+    calls = _loadtxt_inputs(monkeypatch)
+    assert _outcome(load_csv, path) == expected
+    assert calls == ["handle"]
+
+
+def test_a_header_spanning_two_lines_reads_as_row_wise(tmp_path, monkeypatch):
+    # csv.reader takes two physical lines for this header, skiprows=1 skips one
+    path = _write(tmp_path, _large_panel_text(header='id,t,y,x1,"x2\n"'))
+    assert path.stat().st_size > panel._BULK_PATH_BYTES
+    expected = _outcome(panel._load_rows, path)
+    assert not isinstance(expected, str), expected
+    calls = _loadtxt_inputs(monkeypatch)
+    assert panel._load_bulk(path) is None  # its closing quote is no number
+    assert _outcome(load_csv, path) == expected
+    assert calls == [str(path)] * 2
 
 
 def _lexsort_calls(monkeypatch):
