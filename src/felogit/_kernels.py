@@ -173,6 +173,28 @@ def _recursion(S: np.ndarray, X: np.ndarray, ks: np.ndarray, order: int):
 # vectors as rows. With lam = 1 + mu it is nonnegative least squares,
 # minimize |W' mu + W' 1|^2 over mu >= 0, which the Lawson-Hanson active-set
 # method (Lawson & Hanson 1974, ch. 23) solves exactly in finitely many steps.
+#
+# Each step solves least squares on the f free columns, A s = -b with the
+# free rows of W as the columns of A and b = W' 1, from a thin QR factor
+# A = Q R kept up to date rather than from a fresh solve. The orthonormal
+# rows Q[:f] live in one preallocated (p, p) array and c = Q[:f] (-b) in a
+# (p,) one; R's columns are lists of Python floats, so s comes from a
+# back substitution in plain Python, and the free-set residual is
+# u = b + c Q[:f], which is b + A s up to round-off and orthogonal to the
+# free span. A row that enters the free set is appended by classical
+# Gram-Schmidt against Q[:f], and orthogonalized a second time only when
+# the norm left falls below half its own: by Kahan's "twice is enough"
+# (Parlett 1980) that leaves it orthogonal to working precision. When
+# the inner loop returns a column to its bound, the factor is rebuilt from
+# the columns still free, in their order.
+#
+# No rank guard is needed. A row enters only with w'u / |u| < -kkt_tol / 2,
+# and u is orthogonal to the free span, so w'u is the inner product of u
+# with the part of w outside that span, whose norm is then above
+# kkt_tol / 2 = 5e-7 for a unit row. The free columns therefore stay
+# independent, at most p of them, and R's diagonal stays away from zero;
+# after a return the columns still free are a subset of independent ones,
+# no worse conditioned.
 # ---------------------------------------------------------------------------
 
 _TINY = np.finfo(np.float64).tiny
@@ -181,52 +203,95 @@ _TINY = np.finfo(np.float64).tiny
 def qp_minimize(W: np.ndarray, tol: float, kkt_tol: float, max_iter: int):
     """Lawson-Hanson solve. Returns (lam, q, u, iters, flag, viol).
 
-    ``u = W' lam`` and ``q = |u|^2``. Each outer step frees the bound column
-    whose w'u/|u| is most negative; the inner loop then solves least squares
-    on the free columns and, while a free coefficient comes out nonpositive,
-    steps back to the boundary and returns that column to its bound.
-    ``iters`` counts outer steps and ``viol`` is the largest -w'u/|u| (the
-    free columns sit at w'u = 0 up to round-off). The flag is ``QP_ZERO``
-    once q <= tol, ``QP_STATIONARY`` once viol <= kkt_tol / 2, and
-    ``QP_MAXITER`` when ``max_iter`` outer steps decided neither.
+    ``u = W' lam`` up to round-off (it is the least-squares residual of the
+    free set) and ``q = |u|^2``. Each outer step frees the bound column
+    whose w'u/|u| is most negative and appends it to the QR factor of the
+    free columns; the inner loop then solves least squares on the free
+    columns by back substitution and, while a free coefficient comes out
+    nonpositive, steps back to the boundary, returns that column to its
+    bound and rebuilds the factor. ``iters`` counts outer steps and
+    ``viol`` is the largest -w'u/|u| (the free columns sit at w'u = 0 up to
+    round-off). The flag is ``QP_ZERO`` once q <= tol, ``QP_STATIONARY``
+    once viol <= kkt_tol / 2, and ``QP_MAXITER`` when ``max_iter`` outer
+    steps decided neither.
     """
     W = np.ascontiguousarray(W, dtype=np.float64)
-    b = W.sum(axis=0)
+    m, p = W.shape
+    b = np.ones(m) @ W  # a BLAS product: W.sum(axis=0) is slow down a C-ordered (m, p)
     neg_b = -b
-    free = []  # indices of the free columns, in the order of mu
-    mu = np.zeros(0)
+    Q = np.empty((p, p))
+    c = np.empty(p)
+    R = []     # R[j]: column j of the triangle, its entries 0..j
+    free = []  # indices of the free columns, in the order of R and mu
+    mu = []
     it = 0
     while True:
-        u = b + mu @ W.take(free, axis=0)  # kept with no free column: b + 0.0 is not b at b = -0.0
+        f = len(R)
+        u = b + c[:f] @ Q[:f]
         q = float(u @ u)
         if q <= tol:
-            return _lam(W.shape[0], free, mu), q, u, it, QP_ZERO, 0.0
-        wu = (W @ u) / math.sqrt(q)
+            return _lam(m, free, mu), q, u, it, QP_ZERO, 0.0
+        wu = W @ (u / math.sqrt(q))
         j = int(wu.argmin())
         viol = max(-float(wu[j]), 0.0)
         if viol <= 0.5 * kkt_tol:
-            return _lam(W.shape[0], free, mu), q, u, it, QP_STATIONARY, viol
+            return _lam(m, free, mu), q, u, it, QP_STATIONARY, viol
         if it >= max_iter:
-            return _lam(W.shape[0], free, mu), q, u, it, QP_MAXITER, viol
+            return _lam(m, free, mu), q, u, it, QP_MAXITER, viol
         it += 1
         free.append(j)
-        mu = np.concatenate((mu, (0.0,)))
+        mu.append(0.0)
+        _qr_append(Q, R, c, W[j], neg_b)
         while True:
-            s = np.linalg.lstsq(W.take(free, axis=0).T, neg_b, rcond=None)[0]
-            if (s > 0.0).all():
+            s = _back_substitute(R, c)
+            if min(s) > 0.0:
                 mu = s
                 break
-            neg = np.flatnonzero(s <= 0.0)
-            ratio = mu[neg] / np.maximum(mu[neg] - s[neg], _TINY)
-            k = int(np.argmin(ratio))
-            mu = mu + ratio[k] * (s - mu)
-            mu[neg[k]] = 0.0
-            keep = mu > 0.0
-            free = [f for f, kept in zip(free, keep) if kept]
-            mu = mu[keep]
+            neg = [i for i, si in enumerate(s) if si <= 0.0]
+            ratio = [mu[i] / max(mu[i] - s[i], _TINY) for i in neg]
+            alpha = min(ratio)
+            mu = [mi + alpha * (si - mi) for mi, si in zip(mu, s)]
+            mu[neg[ratio.index(alpha)]] = 0.0
+            free = [col for col, mi in zip(free, mu) if mi > 0.0]
+            mu = [mi for mi in mu if mi > 0.0]
+            R.clear()
+            for col in free:
+                _qr_append(Q, R, c, W[col], neg_b)
 
 
-def _lam(m: int, free: list, mu: np.ndarray) -> np.ndarray:
+def _qr_append(Q: np.ndarray, R: list, c: np.ndarray, w: np.ndarray,
+               neg_b: np.ndarray) -> None:
+    """Append the column ``w`` to the thin QR factor held in the rows of
+    ``Q``, the triangle's columns ``R`` and ``c``, in place."""
+    f = len(R)
+    v, head = w, []
+    if f:
+        basis = Q[:f]
+        r = basis @ w
+        v = w - r @ basis
+        if v @ v < 0.25 * (w @ w):  # |v| < |w| / 2: orthogonalize once more
+            again = basis @ v
+            v -= again @ basis
+            r += again
+        head = r.tolist()
+    norm = math.sqrt(float(v @ v))
+    Q[f] = v / norm
+    R.append(head + [norm])
+    c[f] = Q[f] @ neg_b
+
+
+def _back_substitute(R: list, c: np.ndarray) -> list:
+    """The solution s of R s = c[:f], R upper triangular given by its f columns."""
+    s = c[:len(R)].tolist()
+    for j in range(len(s) - 1, -1, -1):
+        column = R[j]
+        sj = s[j] = s[j] / column[j]
+        for i in range(j):
+            s[i] -= column[i] * sj
+    return s
+
+
+def _lam(m: int, free: list, mu: list) -> np.ndarray:
     """The (m,) weights: 1 on every bound column, 1 + mu on the free ones."""
     lam = np.ones(m)
     lam[free] += mu

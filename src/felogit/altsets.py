@@ -6,12 +6,10 @@ softmax moments over that set cost about C(T, k) (T + p) operations when
 the set is enumerated, against T min(k, T - k) p^2 for the denominator
 recursion in :mod:`felogit._kernels`, which also pays a Python-level step
 per period; the estimator recurses a row with 2k > T on its complement,
-with total T - k. Measured with numpy when the recursion still ran every
-row to its own k, enumeration was the faster of the two up to
-C(T, k) (T + p) <= 8 T k p, so the estimator enumerates those sets (every
-set at T <= 5; k in {1, 12, 13} at T = 14, p = 3) and leaves the rest, of
-any size, to the recursion. The estimator enumerates each panel once and
-keeps the result for every later beta.
+with total T - k. The estimator enumerates the sets with
+C(T, k) (T + p) <= 8 T min(k, T - k) p (every set at T <= 5; k in {1, 13}
+at T = 14, p = 3) and leaves the rest, of any size, to the recursion. It
+enumerates each panel once and keeps the result for every later beta.
 """
 
 from __future__ import annotations
@@ -26,20 +24,19 @@ from . import _kernels
 from .panel import PanelDataset
 
 # Measured when every Newton iterate rebuilt the enumeration, against the
-# recursion's earlier rows-first layout with a Python step per (t, m). The
-# estimator now builds the enumeration once per panel, which favours it, and
-# the rows-last recursion that advances every m of a period at once is much
-# faster, which favours recursing; so does the complement, which makes a
-# recursed row cost T min(k, T - k) p^2 rather than T k p^2. The crossover,
-# and its asymmetry in k, are unchanged on purpose: moving a set from one
-# path to the other changes the last bits of beta-hat (a rule in
-# min(k, T - k) would recurse the k = 12 sets at T = 14, p = 3).
+# recursion's earlier rows-first layout with a Python step per (t, m), and
+# kept since: the estimator now builds the enumeration once per panel, which
+# favours it, and the rows-last recursion that advances every m of a period
+# at once is much faster, which favours recursing. The rule prices the
+# recursion at its actual depth min(k, T - k), since a row with 2k > T
+# recurses on its complement, so it is symmetric in k and T - k.
 _ENUMERATION_ADVANTAGE = 8
 
 
 def enumerable(T: int, k: int, p: int) -> bool:
     """Whether the softmax moments of the (T, k) set are cheaper enumerated."""
-    return 0 < k < T and math.comb(T, k) * (T + p) <= _ENUMERATION_ADVANTAGE * T * k * p
+    depth = min(k, T - k)
+    return 0 < k < T and math.comb(T, k) * (T + p) <= _ENUMERATION_ADVANTAGE * T * depth * p
 
 
 @lru_cache(maxsize=32)

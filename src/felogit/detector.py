@@ -140,19 +140,23 @@ def qp_problem_from_panel(data: PanelDataset) -> QpProblem:
     One row per (informative individual, single swap) pair holding
     x_s - x_t for a period s with y_s = 0 and a period t with y_t = 1: the
     difference vector of the alternative that moves one choice from t to s,
-    listed by individual, then s, then t. All swaps come from one
-    ``np.nonzero`` over the (n, T, T) mask y_s < y_t (n T^2 bytes) and two
-    gathers of the covariate columns. Individuals with constant outcomes
-    have no swaps; exact zeros (a covariate equal in both periods) are dropped.
+    listed by individual, then s, then t. All swaps come from one flat
+    ``nonzero`` over the (n, T, T) mask y_s < y_t (n T^2 bytes): its index
+    i T^2 + s T + t, one int64 array where a 3-d ``np.nonzero`` makes three,
+    gives the covariate rows i T + s and i T + t of both gathers.
+    Individuals with constant outcomes have no swaps; exact zeros (a
+    covariate equal in both periods) are dropped.
     """
     T, p = data.T, data.p
     y = data.outcomes
-    i, s, t = np.nonzero(y[:, :, None] < y[:, None, :])
-    first = i * T  # row of period 0 of the swap's individual
+    flat = (y[:, :, None] < y[:, None, :]).ravel().nonzero()[0]  # i T^2 + s T + t
+    zero, t = np.divmod(flat, T)  # zero = i T + s, the row of the period with y = 0
+    one = zero - zero % T         # i T, then i T + t, the row of the period with y = 1
+    one += t
     X = data.covariates.reshape(-1, p).T  # (p, n T) view: gathers come out column-major
-    cols = X.take(first + s, axis=1)
-    cols -= X.take(first + t, axis=1)
-    del i, s, t, first  # freed before the dedup allocates: a lower peak
+    cols = X.take(zero, axis=1)
+    cols -= X.take(one, axis=1)
+    del flat, zero, t, one  # freed before the dedup allocates: a lower peak
     return _dedup_nonzero(cols.T)
 
 

@@ -7,11 +7,13 @@ central finite differences, separation verdicts from sign inspection or a
 direction grid or an exact LP feasibility problem, constraint sets and the
 rank at beta = 0 from enumerating every alternative. The exceptions are
 frozen copies of earlier production code against which the current code is
-pinned bit for bit: :func:`recursion_reference`, the denominator recursion
-in its rows-first layout, :func:`swaps_reference`, the panel constraint
-builder with one block per choice total, and :func:`qp_reference`, the
-Lawson-Hanson solver with its bookkeeping in arrays. :func:`dedup_reference`
-restates the unit constraint rows row by row, to pin them bit for bit too.
+pinned: :func:`recursion_reference`, the denominator recursion in its
+rows-first layout, and :func:`swaps_reference`, the panel constraint builder
+with one block per choice total, both bit for bit, and :func:`qp_reference`,
+the Lawson-Hanson solver with a fresh least-squares solve per step, which
+the updated QR factor of the current solver must agree with in flags and
+steps and up to round-off in values. :func:`dedup_reference` restates the
+unit constraint rows row by row, to pin them bit for bit too.
 """
 
 from __future__ import annotations
@@ -164,8 +166,10 @@ def swaps_reference(data: PanelDataset) -> QpProblem:
     return _dedup_nonzero(rows)
 
 
-# _kernels.qp_minimize as it was with the free set and lam kept in arrays on
-# every step, kept verbatim as the bit-for-bit reference.
+# _kernels.qp_minimize as it was with the free set and lam kept in arrays and
+# np.linalg.lstsq solving each step's least squares afresh, kept verbatim as
+# the reference that the updated QR factor must agree with: the same flags and
+# step counts, and the same q and u up to round-off.
 def qp_reference(W: np.ndarray, tol: float, kkt_tol: float, max_iter: int):
     """Lawson-Hanson solve. Returns (lam, q, u, iters, flag, viol)."""
     W = np.ascontiguousarray(W, dtype=np.float64)

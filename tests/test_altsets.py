@@ -136,6 +136,15 @@ def test_observed_row_index_of_a_small_set_in_a_long_panel():
     assert observed_row_index(1 - np.eye(T)).tolist() == list(range(T))
 
 
+def test_a_set_and_its_complement_take_the_same_path():
+    # a recursed row with 2k > T runs on its complement, to depth T - k
+    for T in range(1, 21):
+        for p in (1, 2, 3, 5):
+            assert [enumerable(T, k, p) for k in range(T + 1)] == \
+                [enumerable(T, T - k, p) for k in range(T + 1)]
+    assert [k for k in range(15) if enumerable(14, k, 3)] == [1, 13]
+
+
 def test_attribute_batches_cover_the_enumerable_sets():
     rng = np.random.default_rng(41)
     for T, p in ((3, 1), (5, 2), (9, 3), (14, 3)):

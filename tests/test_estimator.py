@@ -384,7 +384,7 @@ def test_newton_stops_when_the_line_search_stalls(monkeypatch):
 
 
 def _long_panel(seed: int) -> PanelDataset:
-    """An n=200, T=14, p=3 logit panel: its sets with k in {1, 12, 13} are
+    """An n=200, T=14, p=3 logit panel: its sets with k in {1, 13} are
     enumerated, the others recursed."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((200, 14, 3))
