@@ -153,3 +153,26 @@ def test_qp_separated_minimum_is_exact():
     assert (lam >= 1.0).all()
     assert (wu >= -1e-12).all()
     assert np.abs((lam - 1.0) * wu).max() <= 1e-12
+
+
+def test_the_qr_factor_stays_orthonormal_for_a_nearly_dependent_column():
+    # the third column lies within 1e-7 of the span of the first two: one
+    # Gram-Schmidt pass leaves its Q row about 1e-8 off orthogonal, the
+    # second pass brings it back to round-off
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        first = rng.standard_normal((2, 4))
+        near = first[0] + 1e-3 * first[1] + 1e-7 * rng.standard_normal(4)
+        cols = np.vstack([first, near])
+        cols /= np.linalg.norm(cols, axis=1)[:, None]
+        neg_b = -cols.sum(axis=0)
+        Q, c, R = np.empty((4, 4)), np.empty(4), []
+        for col in cols:
+            _kernels._qr_append(Q, R, c, col, neg_b)
+        triangle = np.zeros((3, 3))
+        for j, column in enumerate(R):
+            triangle[:j + 1, j] = column
+        assert np.abs(Q[:3] @ Q[:3].T - np.eye(3)).max() <= 1e-14
+        assert np.abs(Q[:3].T @ triangle - cols.T).max() <= 1e-14
+        s = _kernels._back_substitute(R, c)
+        np.testing.assert_allclose(triangle @ s, c[:3], rtol=0, atol=1e-12)
