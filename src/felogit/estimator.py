@@ -198,8 +198,10 @@ def _evaluate(data: PanelDataset, beta, order: int):
     n, p = data.n, data.p
     layout = _layout(data)
     ll = np.zeros(n)
-    gap = np.zeros((n, p))  # softmax mean minus observed attribute vector
-    cov = np.zeros((n, p, p))
+    # rows last, so the scatters below write whole rows and the sums run
+    # along the contiguous axis
+    gap = np.zeros((p, n))  # softmax mean minus observed attribute vector
+    cov = np.zeros((p, p, n))
     for idx, diff in layout.enumerated:
         s = _alternative_scores(diff, beta)
         top = s.max(axis=0)  # >= 0: the observed alternative scores 0
@@ -209,21 +211,21 @@ def _evaluate(data: PanelDataset, beta, order: int):
         if order:
             w /= total
             mu = _alternative_sum(w[:, None, :] * diff)
-            gap[idx] = mu.T
+            gap[:, idx] = mu
             dev = np.sqrt(w)[:, None, :] * (diff - mu)
             block = np.empty((p, p, idx.size))
             with np.errstate(over="ignore"):  # an overflow leaves inf, which _solve_spd reports
                 for j in range(p):
                     block[j, j:] = block[j:, j] = _alternative_sum(dev[:, j:j + 1] * dev[:, j:])
-            cov[idx] = block.transpose(2, 0, 1)
+            cov[:, :, idx] = block
     X = layout.covariates
     moments = logdenom_batch(X @ beta, X, layout.totals, order=order)
     ll[layout.rest] = layout.observed @ beta - moments[0]
     if not order:
         return float(ll.sum()),
-    gap[layout.rest] = moments[1] - layout.observed
-    cov[layout.rest] = moments[2]
-    return float(ll.sum()), -gap.sum(axis=0), -cov.sum(axis=0)
+    gap[:, layout.rest] = (moments[1] - layout.observed).T
+    cov[:, :, layout.rest] = moments[2].transpose(1, 2, 0)
+    return float(ll.sum()), -gap.sum(axis=-1), -cov.sum(axis=-1)
 
 
 def _finite(what: str, *values):
@@ -289,13 +291,15 @@ def fit(data: PanelDataset, force: bool = False) -> CmleFit:
 
     Newton's method starts at beta = 0 with Armijo backtracking on the
     log-likelihood and stops when the sup-norm of the score drops below
-    ``DEFAULT_GRAD_TOL`` (1e-8). When the predicted gain of a step is within
-    the round-off of the log-likelihood, the Armijo test cannot see it, and
-    the full step is taken untested. Each line-search trial is evaluated in
-    one pass that gives its log-likelihood, score and Hessian, so an accepted
-    trial is never evaluated again. Standard errors come from the inverse
-    observed information at the estimate, where the last Newton iterate's
-    score and Hessian are reused.
+    ``DEFAULT_GRAD_TOL`` (1e-8). The round-off of the log-likelihood,
+    ``_FLAT_ULPS`` ulps of max(1, |loglik|), is allowed for in the Armijo
+    test, so a trial that falls short of it by round-off alone is accepted.
+    When the predicted gain of a step is within that round-off, the test
+    cannot see it, and the full step is taken untested. Each line-search
+    trial is evaluated in one pass that gives its log-likelihood, score and
+    Hessian, so an accepted trial is never evaluated again. Standard errors
+    come from the inverse observed information at the estimate, where the
+    last Newton iterate's score and Hessian are reused.
 
     Newton stops after ``DEFAULT_NEWTON_MAX_ITER`` (100) iterations, and an
     estimate left there is reported with ``converged = False``. The cap is
@@ -330,12 +334,13 @@ def fit(data: PanelDataset, force: bool = False) -> CmleFit:
         if slope <= 0.0:
             delta = score.copy()  # fall back to steepest ascent
             slope = float(score @ score)
-        flat = slope <= _FLAT_ULPS * np.finfo(np.float64).eps * max(1.0, abs(ll))
+        roundoff = _FLAT_ULPS * np.finfo(np.float64).eps * max(1.0, abs(ll))
+        flat = slope <= roundoff
         alpha = 1.0
         while True:
             cand = beta + alpha * delta
             ll_c, score_c, hessian_c = _evaluate(data, cand, 2)
-            if flat or ll_c >= ll + _ARMIJO * alpha * slope:
+            if flat or ll_c >= ll + _ARMIJO * alpha * slope - roundoff:
                 break
             alpha *= _SHRINK
             if alpha < 1e-16:

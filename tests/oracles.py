@@ -97,11 +97,21 @@ def enum_softmax_covariance(covariates, outcomes, beta):
     return (w[:, None] * centered).T @ centered
 
 
+def _logadd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log(e^a + e^b) as the kernel writes it: logaddexp's algorithm in ufuncs."""
+    c = np.maximum(a, b)
+    c += np.log1p(np.exp(-np.abs(b - a)))
+    return c
+
+
 # The kernel's recursion as it was with rows on the first axis and the full
-# (p, p) covariance per cell, kept verbatim as the bit-for-bit reference.
-def recursion_reference(S: np.ndarray, X: np.ndarray, ks: np.ndarray, order: int):
+# (p, p) covariance per cell, kept as the bit-for-bit reference; only its
+# log-add step follows the kernel's.
+def recursion_reference(S: np.ndarray, X: np.ndarray, ks: np.ndarray, order: int,
+                        logadd=_logadd):
     """The log-scaled recursion over rows with 0 <= k <= T; returns the first
-    ``order + 1`` accumulators at each row's own k."""
+    ``order + 1`` accumulators at each row's own k. ``logadd`` is the log-add
+    step; ``np.logaddexp`` gives the recursion as numpy's scalar loop does it."""
     nr, T = S.shape
     p = X.shape[2]
     kmax = int(ks.max())
@@ -115,7 +125,7 @@ def recursion_reference(S: np.ndarray, X: np.ndarray, ks: np.ndarray, order: int
         for m in range(min(t + 1, kmax), 0, -1):
             a = lf[:, m]
             b = lf[:, m - 1] + st
-            c = np.logaddexp(a, b)
+            c = logadd(a, b)
             if order >= 1:
                 w1 = np.exp(a - c)  # a = -inf gives 0; c is finite for m <= t+1
                 w2 = np.exp(b - c)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import math
 import weakref
@@ -204,27 +205,42 @@ def test_forced_fit_on_separated_data(fixture_panel):
 
 
 def test_a_ridged_standard_error_solve_is_named_on_an_unforced_fit(monkeypatch):
-    # x2 = x1 + 1e-10 noise passes the rank test, but the observed
-    # information at the estimate is singular in floating point
+    note = "observed information was singular, standard errors are ridged"
+    ridges = []
+    solve = estimator._solve_spd
+
+    def singular(matrix):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    def recorded(neg_hessian, rhs, fail=False):
+        with monkeypatch.context() as patched:
+            if fail and rhs.ndim == 2:  # the standard-error solve
+                patched.setattr(np.linalg, "cholesky", singular)
+            delta, ridge = solve(neg_hessian, rhs)
+        ridges.append(ridge)
+        return delta, ridge
+
+    monkeypatch.setattr(estimator, "_solve_spd", functools.partial(recorded, fail=True))
+    result = fit(_logit_panel(32))
+    assert result.gate.status == STATUS_EXISTS and not result.spurious and result.converged
+    assert ridges[-1] > 0.0 and not any(ridges[:-1])
+    assert result.diagnostic == note
+    # x2 = x1 + 1e-10 noise passes the rank test, but whether the Cholesky
+    # factorization at the estimate fails follows the last bits of np.exp;
+    # either way the note is there exactly when the solve was ridged
     rng = np.random.default_rng(1)
     x1 = rng.standard_normal((400, 4))
     x2 = x1 + 1e-10 * rng.standard_normal((400, 4))
     y = (x1 - 0.5 * x2 + rng.logistic(size=(400, 4)) > 0).astype(np.int8)
     data = PanelDataset.from_arrays(np.stack([x1, x2], axis=2), y)
-    ridges = []
-    solve = estimator._solve_spd
-
-    def recorded(neg_hessian, rhs):
-        delta, ridge = solve(neg_hessian, rhs)
-        ridges.append(ridge)
-        return delta, ridge
-
     monkeypatch.setattr(estimator, "_solve_spd", recorded)
+    ridges.clear()
     result = fit(data)
     assert result.gate.status == STATUS_EXISTS and not result.spurious
-    assert ridges[-1] > 0.0  # the standard-error solve
-    assert result.diagnostic == "observed information was singular, standard errors are ridged"
+    assert result.diagnostic == (note if ridges[-1] > 0.0 else None)
+    ridges.clear()
     assert fit(_logit_panel(32)).diagnostic is None
+    assert not any(ridges)
 
 
 def test_newton_ascent_is_monotone():
@@ -341,6 +357,35 @@ def test_newton_backtracks_to_the_enumerated_maximizer():
         return sum(y[i] @ x[i] @ beta - enum_log_denominator(x[i], y[i], beta) for i in range(3))
 
     assert abs(central_diff_gradient(loglik, result.beta_hat)[0]) <= 1e-6
+
+
+# an n=2, T=8 panel, both rows recursed, on which late full Newton steps
+# fall about 5e-15 short of the Armijo bound, inside the round-off of
+# loglik (16 ulp of max(1, |loglik|), 7.7e-15): without that slack the line
+# search cut them to 0.0625 and 0.125, at 21 evaluations in 13 iterations.
+# Both line searches, and numpy's exp with or without its AVX-512 loops,
+# stop within 2e-13 relative of ROUNDOFF_BETA, where the score is below 1e-8
+ROUNDOFF_X = [[-36.97, 9.73, -6.745, 0.8, -20.374, -5.243, -69.562, -4.739],
+              [-0.556, 0.249, -0.236, -0.625, -0.001, -0.374, -0.423, -0.066]]
+ROUNDOFF_Y = [[0, 1, 1, 1, 0, 1, 0, 1], [1, 1, 1, 1, 1, 1, 1, 0]]
+ROUNDOFF_BETA = 0.3645230866437911
+
+
+def test_newton_accepts_full_steps_that_fall_short_by_roundoff(monkeypatch):
+    data = _panel(ROUNDOFF_X, ROUNDOFF_Y)
+    evaluations = []
+    evaluate = estimator._evaluate
+
+    def counted(data, beta, order):
+        evaluations.append(order)
+        return evaluate(data, beta, order)
+
+    monkeypatch.setattr(estimator, "_evaluate", counted)
+    result = fit(data)
+    assert result.gate.status == STATUS_EXISTS and result.converged
+    assert [s.step_size for s in result.trace] == [1.0] * 10 + [0.0]
+    assert len(evaluations) == 12
+    assert result.beta_hat[0] == pytest.approx(ROUNDOFF_BETA, rel=1e-12)
 
 
 def test_newton_falls_back_to_steepest_ascent_on_a_descent_step(monkeypatch):

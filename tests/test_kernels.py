@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -54,10 +55,13 @@ def _pinning_batch(rng, T, p, kmax=None):
     return scores, covariates, totals
 
 
+_PINNED_SHAPES = ([pytest.param(T, None, id=str(T)) for T in (1, 2, 4, 14, 30)]
+                  + [pytest.param(T, k, id=f"{T}-kmax{k}") for T in (4, 14, 30) for k in (0, 1)])
+
+
 @pytest.mark.parametrize("budget", [1, _kernels._BATCH_CELL_BUDGET])
 @pytest.mark.parametrize("p", [1, 2, 5])
-@pytest.mark.parametrize("T, kmax", [pytest.param(T, None, id=str(T)) for T in (1, 2, 4, 14, 30)]
-                         + [pytest.param(T, k, id=f"{T}-kmax{k}") for T in (4, 14, 30) for k in (0, 1)])
+@pytest.mark.parametrize("T, kmax", _PINNED_SHAPES)
 def test_logdenom_matches_the_rows_first_reference_bit_for_bit(monkeypatch, T, p, budget, kmax):
     rng = np.random.default_rng(1000 * T + 10 * p + (budget == 1))
     batch = _pinning_batch(rng, T, p, kmax)
@@ -74,6 +78,43 @@ def test_logdenom_matches_the_rows_first_reference_bit_for_bit(monkeypatch, T, p
     assert np.isfinite(cov).all()
     assert cov.any() == ((0 < totals) & (totals < T)).any()
     assert np.array_equal(cov, cov.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("p", [1, 2, 5])
+@pytest.mark.parametrize("T, kmax", _PINNED_SHAPES)
+def test_logdenom_agrees_with_the_scalar_logaddexp_recursion(monkeypatch, T, p, kmax):
+    # the kernel's log-add step differs from np.logaddexp only in the last
+    # bits of numpy's SIMD exp against libm's
+    rng = np.random.default_rng(2000 * T + 10 * p)
+    batch = _pinning_batch(rng, T, p, kmax)
+    got = _kernels.logdenom_batch(*batch)
+    monkeypatch.setattr(_kernels, "_recursion", functools.partial(
+        recursion_reference, logadd=np.logaddexp))
+    want = _kernels.logdenom_batch(*batch)
+    logden, mean, cov = want
+    assert np.all(np.abs(got[0] - logden) <= 8 * np.spacing(np.maximum(np.abs(logden), 1.0)))
+    for a, b in ((got[1], mean), (got[2], cov)):
+        rows = b.reshape(b.shape[0], -1)
+        largest = np.abs(rows).max(axis=1, initial=0.0)
+        assert np.all(np.abs(a.reshape(rows.shape) - rows) <= 1e-13 * largest[:, None])
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1.0, 700.0])
+def test_the_log_add_step_is_exact_at_its_edge_cases(scale):
+    rng = np.random.default_rng(int(scale * 100))
+    T, p = 6, 2
+    S = np.clip(scale * rng.standard_normal((4, T)), -700.0, 700.0)
+    X = rng.standard_normal((4, T, p))
+    # k = T: every step adds to a = -inf, so c = b, w1 = 0 and w2 = 1 exactly,
+    # and the recursion gives the period-ordered sums with no spread
+    logden, mean, cov = _kernels._recursion(S, X, np.full(4, T), 2)
+    assert np.array_equal(logden, np.cumsum(S, axis=1)[:, -1])
+    assert np.array_equal(mean, np.cumsum(X, axis=1)[:, -1])
+    assert not cov.any()
+    # T = 2, k = 1 with equal scores: one step with a == b, which gives a + log 2
+    pair = np.repeat(S[:, :1], 2, axis=1)
+    logden, = _kernels._recursion(pair, X[:, :2], np.ones(4, dtype=np.int64), 0)
+    assert np.array_equal(logden, pair[:, 0] + np.log(2.0))
 
 
 def test_order_2_peak_memory_stays_at_its_cell_by_cell_level():
