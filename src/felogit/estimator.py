@@ -198,8 +198,7 @@ def _evaluate(data: PanelDataset, beta, order: int):
     n, p = data.n, data.p
     layout = _layout(data)
     ll = np.zeros(n)
-    # rows last, so the scatters below write whole rows and the sums run
-    # along the contiguous axis
+    # rows on the last, contiguous axis, along which the sums below run
     gap = np.zeros((p, n))  # softmax mean minus observed attribute vector
     cov = np.zeros((p, p, n))
     for idx, diff in layout.enumerated:
