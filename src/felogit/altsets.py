@@ -5,8 +5,7 @@ every binary sequence of length T summing to k, in lexicographic order. The
 softmax moments over that set cost about C(T, k) (T + p) operations when
 the set is enumerated, against T min(k, T - k) p^2 for the denominator
 recursion in :mod:`felogit._kernels`, which also pays a Python-level step
-per period; the estimator recurses a row with 2k > T on its complement,
-with total T - k. The estimator enumerates the sets with
+per period. The estimator enumerates the sets with
 C(T, k) (T + p) <= 8 T min(k, T - k) p (every set at T <= 5; k in {1, 13}
 at T = 14, p = 3) and leaves the rest, of any size, to the recursion. It
 enumerates each panel once and keeps the result for every later beta.
@@ -28,8 +27,7 @@ from .panel import PanelDataset
 # kept since: the estimator now builds the enumeration once per panel, which
 # favours it, and the rows-last recursion that advances every m of a period
 # at once is much faster, which favours recursing. The rule prices the
-# recursion at its actual depth min(k, T - k), since a row with 2k > T
-# recurses on its complement, so it is symmetric in k and T - k.
+# recursion at its depth min(k, T - k).
 _ENUMERATION_ADVANTAGE = 8
 
 
@@ -102,7 +100,8 @@ def attribute_batches(data: PanelDataset):
     every cell's bits are the plain left-to-right sum, whatever the chunk.
     ``attrs`` is an (nk, r, p) view of the (r, p, nk) C-ordered result,
     which the caller owns. Groups are split into chunks whose attribute
-    block holds at most ``_kernels._BATCH_CELL_BUDGET`` cells.
+    block holds at most ``_kernels._BATCH_CELL_BUDGET`` cells: the fewest
+    that do, of sizes that differ by at most one row.
     """
     totals = data.choice_totals
     mask = data.informative_mask
@@ -114,8 +113,7 @@ def attribute_batches(data: PanelDataset):
         alts = _alternatives(T, kval)
         idx = np.flatnonzero(mask & (totals == kval))
         chunk = max(1, _kernels._BATCH_CELL_BUDGET // (alts.shape[0] * p))
-        for start in range(0, idx.shape[0], chunk):
-            part = idx[start:start + chunk]
+        for part in np.array_split(idx, -(-idx.size // chunk)):
             X = data.covariates[part].transpose(1, 2, 0)  # (T, p, nk)
             Xd = np.subtract(X, X[:1], out=np.empty(X.shape))
             acc = alts[:, 0, None, None] * Xd[0]

@@ -73,18 +73,13 @@ class RankCheckResult:
 
 @dataclass(frozen=True)
 class QpProblem:
-    """Stacked nonzero attribute-difference vectors and their unit copies."""
+    """Stacked nonzero attribute-difference vectors, scaled to unit rows."""
 
-    vectors: np.ndarray     # (m, p) zero rows removed, in builder order
-    normalized: np.ndarray  # (m, p) unit rows
+    normalized: np.ndarray  # (m, p) unit rows, zero rows removed, in builder order
 
     @property
     def size(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.vectors.shape[1]
+        return self.normalized.shape[0]
 
 
 @dataclass
@@ -127,11 +122,10 @@ def _dedup_nonzero(rows: np.ndarray) -> QpProblem:
     if not nonzero.all():
         cols = cols.compress(nonzero, axis=1)
     exps = np.frexp(np.abs(cols).max(axis=0, initial=0.0))[1]
-    rows = cols.T.copy()  # C order, and never a view of the caller's rows
-    normalized = np.ldexp(rows, -exps[:, None])
+    normalized = np.ldexp(cols.T, -exps[:, None], order="C")
     del cols, exps  # freed before the norm allocates its temporaries: a lower peak
     normalized /= np.linalg.norm(normalized, axis=1)[:, None]
-    return QpProblem(vectors=rows, normalized=normalized)
+    return QpProblem(normalized=normalized)
 
 
 def qp_problem_from_panel(data: PanelDataset) -> QpProblem:

@@ -10,14 +10,14 @@ recursion in :mod:`felogit._kernels`, which carries them next to log D
 without enumerating, so no C(T, k) is too large. What does not depend on
 beta (the enumerated attribute differences, the other rows' covariates and
 observed attribute sums) is built once per panel, on first use, and kept
-for as long as the panel lives. In it a recursed row with 2k > T is stored
-as its complement (-x, 1 - y, T - k), which has the same log-likelihood,
-score and Hessian, since choosing the k ones is choosing the T - k zeros:
-D_k(s) = exp(sum_t s_t) D_{T-k}(-s). So the recursion never runs past
-floor(T/2). Each evaluation does only the work at beta,
-and gives value, score and Hessian from one enumerated pass per
-alternative-set size (totals k and T - k share one) and one recursion pass,
-so Newton pays one pass per line-search trial.
+for as long as the panel lives. It is built from the panel's complemented
+form, in which every row with 2k > T is (-x, 1 - y, T - k): that row has
+the same log-likelihood, score and Hessian, since choosing the k ones is
+choosing the T - k zeros, D_k(s) = exp(sum_t s_t) D_{T-k}(-s). So every
+total is at most floor(T/2), where the recursion stops. Each evaluation
+does only the work at beta, and gives value, score and Hessian from one
+enumerated pass per alternative-set size and one recursion pass, so Newton
+pays one pass per line-search trial.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from ._kernels import logdenom_batch
 from .altsets import attribute_batches
 from .detector import (
@@ -93,26 +92,22 @@ def _validate_beta(beta, p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Layout:
-    """The beta-free part of one panel's conditional likelihood.
-
-    ``enumerated`` holds, per block of rows whose alternative sets have the
-    same size (totals k and T - k), the row positions and the differences
-    a_r - a_obs of each alternative's attribute vector from the observed
-    one's, so the observed alternative scores exactly 0. They are stored
-    alternative-major, (C(T, k), p, m) for m rows, so that every sum over the
-    alternatives adds whole rows of individuals; the batch's attribute
-    vectors already come in that order, and the observed one's are
-    subtracted from them in place, with no transposed copy. A block joins
-    whole chunks of :func:`~felogit.altsets.attribute_batches` while it
-    holds at most ``_kernels._BATCH_CELL_BUDGET`` cells, and only a block of
-    several chunks is copied. ``rest`` holds the positions of the other
-    informative rows, with their covariates, choice totals and observed
-    attribute sums sum_t y_t x_t. A row with 2k > T is held as its
-    complement: covariates -x, total T - k and observed sum
-    sum_t (1 - y_t)(-x_t), so that every total is at most floor(T/2) and its
-    recursion stops there; the values at beta are the row's own, since the
+    """The beta-free part of one panel's conditional likelihood, read from
+    its complemented form, in which each row with 2k > T is
+    (-x, 1 - y, T - k); the values at beta are the row's own, since the
     complement's observed score and log D both differ from the row's by
     -sum_t x_t'beta.
+
+    ``enumerated`` holds, per chunk of :func:`~felogit.altsets.attribute_batches`
+    (rows of one total), the row positions and the differences a_r - a_obs
+    of each alternative's attribute vector from the observed one's, so the
+    observed alternative scores exactly 0. They are stored alternative-major,
+    (C(T, k), p, m) for m rows, so that every sum over the alternatives adds
+    whole rows of individuals; the batch's attribute vectors already come in
+    that order, and the observed one's are subtracted from them in place,
+    with no transposed copy. ``rest`` holds the positions of the other
+    informative rows, with their covariates, choice totals and observed
+    attribute sums sum_t y_t x_t.
     """
 
     enumerated: list[tuple[np.ndarray, np.ndarray]]
@@ -126,13 +121,6 @@ class _Layout:
 _LAYOUTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _joined(chunks: list) -> tuple[np.ndarray, np.ndarray]:
-    """One ``(idx, diff)`` block of same-size chunks, their rows in order."""
-    if len(chunks) == 1:
-        return chunks[0]
-    return np.concatenate([i for i, _ in chunks]), np.concatenate([d for _, d in chunks], axis=2)
-
-
 def _layout(data: PanelDataset) -> _Layout:
     """The panel's :class:`_Layout`, built on first use from one enumeration."""
     layout = _LAYOUTS.get(data)
@@ -140,29 +128,21 @@ def _layout(data: PanelDataset) -> _Layout:
         # below 2^1022 in magnitude no difference x_s - x_t overflows
         if max(data.covariates.max(initial=0.0), -data.covariates.min(initial=0.0)) >= 2.0 ** 1022:
             _reject_overflowing_spans(data)
+        flip = 2 * data.choice_totals > data.T
+        panel = PanelDataset._unchecked(  # the complemented form: negation and ^ are exact
+            data.ids, data.periods, data.covariates * np.where(flip, -1.0, 1.0)[:, None, None],
+            data.outcomes ^ flip[:, None])
         enumerated = []
-        filling = {}  # per set size C(T, k), the chunks of the block being filled
         rest = data.informative_mask.copy()
-        for idx, _, attrs, obs_index in attribute_batches(data):
+        for idx, _, attrs, obs_index in attribute_batches(panel):
             diff = attrs.transpose(1, 2, 0)  # the (C(T, k), p, m) array the batch owns
             diff -= diff[obs_index, :, np.arange(idx.size)].T
             rest[idx] = False
-            block = filling.setdefault(diff.shape[0], [])
-            if block and sum(d.size for _, d in block) + diff.size > _kernels._BATCH_CELL_BUDGET:
-                enumerated.append(_joined(block))
-                block.clear()
-            block.append((idx, diff))
-        enumerated += [_joined(block) for block in filling.values()]
+            enumerated.append((idx, diff))
         rows = np.flatnonzero(rest)
-        X = data.covariates[rows]
-        y = data.outcomes[rows].astype(np.float64)
-        k = data.choice_totals[rows]
-        flip = 2 * k > data.T  # recursed on the complement: (-x, 1 - y, T - k)
-        X[flip] *= -1.0
-        y[flip] = 1.0 - y[flip]
-        k = np.where(flip, data.T - k, k)
-        observed = np.einsum("it,itp->ip", y, X)
-        layout = _LAYOUTS[data] = _Layout(enumerated, rows, X, k, observed)
+        X = panel.covariates[rows]
+        observed = np.einsum("it,itp->ip", panel.outcomes[rows].astype(np.float64), X)
+        layout = _LAYOUTS[data] = _Layout(enumerated, rows, X, panel.choice_totals[rows], observed)
     return layout
 
 

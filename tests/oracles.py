@@ -144,7 +144,7 @@ def dedup_reference(rows: np.ndarray) -> QpProblem:
     each row scaled by a power of two, then by its norm, row-major."""
     rows = np.ascontiguousarray(rows[(rows != 0).any(axis=1)])
     scaled = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1][:, None])
-    return QpProblem(vectors=rows, normalized=scaled / np.linalg.norm(scaled, axis=1)[:, None])
+    return QpProblem(normalized=scaled / np.linalg.norm(scaled, axis=1)[:, None])
 
 
 # detector.qp_problem_from_panel as it was with one block of swaps per choice

@@ -165,3 +165,30 @@ def test_attribute_batches_cover_the_enumerable_sets():
                     if data.informative_mask[i] and enumerable(T, int(data.choice_totals[i]), p)]
         assert sorted(seen) == expected
         assert 0 < len(seen) and (T > 5 or len(seen) == data.informative_mask.sum())
+
+
+@pytest.mark.parametrize("budget, n", [(1, 40), (500, 300), (None, 20_000)])
+def test_attribute_batches_split_each_total_into_the_fewest_equal_chunks(monkeypatch, budget, n):
+    # m rows of total k, C(T, k) p cells each, go into the fewest chunks that
+    # hold at most the budget, ceil(m / floor(budget / (C(T, k) p))), of sizes
+    # that differ by at most one, in row order
+    if budget is not None:
+        monkeypatch.setattr(_kernels, "_BATCH_CELL_BUDGET", budget)
+    budget = _kernels._BATCH_CELL_BUDGET
+    rng = np.random.default_rng(47)
+    T, p = 5, 3
+    data = PanelDataset.from_arrays(rng.standard_normal((n, T, p)),
+                                    (rng.random((n, T)) < 0.45).astype(np.int8))
+    chunks = {}
+    for idx, *_ in attribute_batches(data):
+        chunks.setdefault(int(data.choice_totals[idx[0]]), []).append(idx)
+    assert sorted(chunks) == [1, 2, 3, 4]
+    for k, parts in chunks.items():
+        rows = np.flatnonzero(data.choice_totals == k)
+        cells = math.comb(T, k) * p
+        sizes = [part.size for part in parts]
+        assert np.array_equal(np.concatenate(parts), rows)
+        assert len(sizes) == -(-rows.size // max(1, budget // cells))
+        assert max(sizes) - min(sizes) <= 1
+        assert max(sizes) * cells <= budget or max(sizes) == 1
+    assert max(len(parts) for parts in chunks.values()) > 1

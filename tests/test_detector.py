@@ -59,9 +59,24 @@ def test_fixture_is_separated(fixture_panel):
     assert (values <= 0.0).all() and (values < 0.0).any()
 
 
-def test_symmetric_pair_exists():
-    problem = qp_problem_from_panel(SYMMETRIC_PAIR)
-    assert sorted(problem.vectors[:, 0].tolist()) == [-1.0, 1.0]
+def _swap_rows(monkeypatch, data):
+    """The nonzero rows :func:`qp_problem_from_panel` hands to the QP
+    problem's builder, before they are scaled to unit rows."""
+    handed = []
+
+    def captured(rows):
+        handed.append(rows[(rows != 0).any(axis=1)])
+        return _dedup_nonzero(rows)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(detector, "_dedup_nonzero", captured)
+        qp_problem_from_panel(data)
+    (rows,) = handed
+    return rows
+
+
+def test_symmetric_pair_exists(monkeypatch):
+    assert sorted(_swap_rows(monkeypatch, SYMMETRIC_PAIR)[:, 0].tolist()) == [-1.0, 1.0]
     report = detect_panel_separation(SYMMETRIC_PAIR)
     assert report.status == STATUS_EXISTS
     assert report.qp_min <= 1e-8
@@ -335,7 +350,7 @@ def test_qp_iteration_cap_raises(monkeypatch, detect, build, steps, cap):
 
 def test_pooled_problem_shape(fixture_panel):
     problem = qp_problem_from_pooled(fixture_panel)
-    assert problem.p == 2
+    assert problem.normalized.shape[1] == 2
     assert problem.size <= 30
     norms = np.linalg.norm(problem.normalized, axis=1)
     assert np.allclose(norms, 1.0)
@@ -428,12 +443,12 @@ def test_rank_stays_full_for_large_T():
     assert result.probes[0].singular_values[1] > 0.0
 
 
-def test_swap_vectors_of_one_individual():
+def test_swap_vectors_of_one_individual(monkeypatch):
     # y = (0, 1, 0, 1): zeros at periods 1, 3 and ones at 2, 4 give the four
     # swaps x_s - x_t
     x = [[1.0, 10.0, 100.0, 1000.0]]
-    problem = qp_problem_from_panel(_panel(x, [[0, 1, 0, 1]]))
-    assert sorted(problem.vectors[:, 0].tolist()) == [-999.0, -900.0, -9.0, 90.0]
+    rows = _swap_rows(monkeypatch, _panel(x, [[0, 1, 0, 1]]))
+    assert sorted(rows[:, 0].tolist()) == [-999.0, -900.0, -9.0, 90.0]
 
 
 def test_qp_stall_is_not_reported_as_iteration_cap():
@@ -511,10 +526,10 @@ def test_pooled_verdicts_match_exact_lp_oracle():
 
 
 def _assert_same_problem(got, want):
-    for a, b in ((got.vectors, want.vectors), (got.normalized, want.normalized)):
-        assert a.shape == b.shape and a.dtype == b.dtype
-        assert a.flags.c_contiguous
-        assert a.tobytes() == b.tobytes()
+    a, b = got.normalized, want.normalized
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.flags.c_contiguous
+    assert a.tobytes() == b.tobytes()
 
 
 _DEDUP_KINDS = ["continuous", "small_integer", "signed_zero_duplicates", "zero_rows", "extreme",
@@ -565,7 +580,7 @@ def test_unit_rows_match_the_no_merge_reference_bit_for_bit(kind, p, layout):
         rows = np.asarray(_dedup_rows(kind, rng, m, p), order=layout)
         got = _dedup_nonzero(rows)
         _assert_same_problem(got, dedup_reference(rows))
-        assert not np.shares_memory(got.vectors, rows)
+        assert not np.shares_memory(got.normalized, rows)
 
 
 @pytest.mark.parametrize("n, T, p, integer", [
@@ -611,8 +626,8 @@ def _swap_panels(case):
 def _sorted_by_bits(problem):
     """``problem`` with its rows in the order of their bit patterns, which
     tells -0.0 from 0.0, so two problems with the same rows compare equal."""
-    order = np.lexsort(problem.vectors.view(np.uint64).T[::-1])
-    return QpProblem(vectors=problem.vectors[order], normalized=problem.normalized[order])
+    order = np.lexsort(problem.normalized.view(np.uint64).T[::-1])
+    return QpProblem(normalized=problem.normalized[order])
 
 
 @pytest.mark.parametrize("case", _SWAP_CASES)
@@ -620,10 +635,10 @@ def test_swap_builder_matches_the_per_choice_total_reference_bit_for_bit(case):
     # the same rows, bit for bit, listed by individual rather than by choice total
     for data in _swap_panels(case):
         got = qp_problem_from_panel(data)
-        assert got.vectors.flags.c_contiguous and got.normalized.flags.c_contiguous
+        assert got.normalized.flags.c_contiguous
         _assert_same_problem(_sorted_by_bits(got), _sorted_by_bits(swaps_reference(data)))
         if case == "constant":
-            assert got.vectors.shape == (0, data.p)
+            assert got.normalized.shape == (0, data.p)
 
 
 def test_every_nonzero_swap_and_observation_is_a_constraint():

@@ -596,11 +596,20 @@ def _layout_panel(rng):
     return PanelDataset.from_arrays(x, y)
 
 
+def _stored(data: PanelDataset):
+    """Covariates, outcomes and totals of each row as the layout stores it:
+    (-x, 1 - y, T - k) when 2k > T."""
+    flip = 2 * data.choice_totals > data.T
+    return (np.where(flip[:, None, None], -data.covariates, data.covariates),
+            np.where(flip[:, None], 1 - data.outcomes, data.outcomes),
+            np.where(flip, data.T - data.choice_totals, data.choice_totals))
+
+
 @pytest.mark.parametrize("budget", [1, None])
 def test_layout_is_the_period_ordered_sum_of_differences(monkeypatch, budget):
-    # the plain definition: a_r = sum of x_t - x_1 over the periods r chooses,
-    # added in period order, and each alternative's difference a_r - a_obs,
-    # read with each row's own total, since totals k and T - k share a block
+    # the plain definition, on each row as stored (its complement when
+    # 2k > T): a_r = sum of x_t - x_1 over the periods r chooses, added in
+    # period order, and each alternative's difference a_r - a_obs
     if budget is not None:
         monkeypatch.setattr(_kernels, "_BATCH_CELL_BUDGET", budget)
     rng = np.random.default_rng(163)
@@ -609,14 +618,15 @@ def test_layout_is_the_period_ordered_sum_of_differences(monkeypatch, budget):
     for _ in range(100):
         data = _layout_panel(rng)
         T, p = data.T, data.p
+        stored_x, stored_y, stored_k = _stored(data)
         for idx, diff in estimator._layout(data).enumerated:
-            totals = data.choice_totals[idx]
-            # one set size per block, within the budget unless it is one row
-            assert {math.comb(T, int(k)) for k in totals} == {diff.shape[0]}
+            k, = np.unique(stored_k[idx])  # one stored total per block, at most T / 2
+            assert 2 * k <= T and diff.shape[0] == math.comb(T, int(k))
+            # within the budget unless it is one row
             assert diff.size <= _kernels._BATCH_CELL_BUDGET or idx.size == 1
             assert diff.shape == (diff.shape[0], p, idx.size) and diff.flags.c_contiguous
-            mixed |= np.unique(totals).size > 1
-            X = data.covariates[idx]
+            mixed |= np.unique(data.choice_totals[idx]).size > 1
+            X = stored_x[idx]
             for j, i in enumerate(idx):
                 d = X[j] - X[j, :1]
 
@@ -626,34 +636,21 @@ def test_layout_is_the_period_ordered_sum_of_differences(monkeypatch, budget):
                         a = a + d[t]
                     return a
 
-                observed = attrs(data.outcomes[i])
-                want = np.array([attrs(r) - observed for r in _alternatives(T, int(totals[j]))])
+                observed = attrs(stored_y[i])
+                want = np.array([attrs(r) - observed for r in _alternatives(T, int(k))])
                 assert np.ascontiguousarray(diff[:, :, j]).tobytes() == want.tobytes()
-                obs = observed_row_index(data.outcomes[i])
+                obs = observed_row_index(stored_y[i])
                 assert diff[obs, :, j].tobytes() == np.zeros(p).tobytes()  # +0.0 exactly
             if p >= 2:  # einsum adds in period order too, except on its p = 1 loop
-                for k in np.unique(totals):
-                    rows = np.flatnonzero(totals == k)
-                    ein = np.einsum("rt,itp->irp", _alternatives(T, int(k)), X[rows] - X[rows, :1])
-                    obs = observed_row_index(data.outcomes[idx[rows]])
-                    ein -= ein[np.arange(rows.size), obs][:, None]
-                    assert (np.ascontiguousarray(ein.transpose(1, 2, 0)).tobytes()
-                            == np.ascontiguousarray(diff[:, :, rows]).tobytes())
+                ein = np.einsum("rt,itp->irp", _alternatives(T, int(k)), X - X[:, :1])
+                ein -= ein[np.arange(idx.size), observed_row_index(stored_y[idx])][:, None]
+                assert (np.ascontiguousarray(ein.transpose(1, 2, 0)).tobytes()
+                        == np.ascontiguousarray(diff).tobytes())
             covered.add((T > 7, p))
     assert covered >= {(False, p) for p in range(1, 6)} | {(True, p) for p in range(2, 6)}
-    # a one-cell budget keeps every row alone; the default one merges k and T - k
+    # a one-cell budget keeps every row alone; under the default one the rows
+    # of totals k and T - k arrive in one block
     assert mixed == (budget is None)
-
-
-def _chunk_layout(data: PanelDataset) -> list:
-    """The enumerated blocks as :func:`attribute_batches` yields them, one
-    per chunk of one choice total, with nothing merged."""
-    blocks = []
-    for idx, _, attrs, obs_index in attribute_batches(data):
-        diff = attrs.transpose(1, 2, 0)
-        diff -= diff[obs_index, :, np.arange(idx.size)].T
-        blocks.append((idx, diff))
-    return blocks
 
 
 def _evaluations(data: PanelDataset, beta) -> list:
@@ -663,31 +660,29 @@ def _evaluations(data: PanelDataset, beta) -> list:
 
 
 @pytest.mark.parametrize("budget", [1, 500, None])
-def test_merged_layout_evaluates_the_same_bits_as_one_block_per_chunk(monkeypatch, budget):
-    # rows of totals k and T - k share a block; every operation on a block is
-    # per row or a sum over alternatives taken one at a time, so the bits of
-    # value, score and Hessian cannot depend on which rows share it
+def test_layout_evaluates_the_same_bits_as_one_row_blocks(monkeypatch, budget):
+    # every operation on a block is per row or a sum over alternatives taken
+    # one at a time, so the bits of value, score and Hessian cannot depend
+    # on which rows share a block
     if budget is not None:
         monkeypatch.setattr(_kernels, "_BATCH_CELL_BUDGET", budget)
     monkeypatch.setattr(estimator, "_LAYOUTS", weakref.WeakKeyDictionary())
     rng = np.random.default_rng(167)
-    merges = 0
     for trial in range(60):
         data = _layout_panel(rng) if trial % 2 else random_panel(rng, T=int(rng.integers(2, 9)),
                                                                    p_max=4, n_max=30)
         layout = estimator._layout(data)
-        chunks = _chunk_layout(data)
-        merges += len(chunks) - len(layout.enumerated)
+        rows = [(idx[j:j + 1], diff[:, :, j:j + 1].copy())
+                for idx, diff in layout.enumerated for j in range(idx.size)]
         betas = [np.zeros(data.p)] + [s * rng.standard_normal(data.p) for s in (0.3, 1.0, 4.0)]
         with np.errstate(over="ignore", invalid="ignore"):  # at 10^300 scales, inf and NaN too
-            merged = [_evaluations(data, b) for b in betas]
-            estimator._LAYOUTS[data] = dataclasses.replace(layout, enumerated=chunks)
-            assert [_evaluations(data, b) for b in betas] == merged
-    assert (merges > 0) == (budget != 1)
+            blocked = [_evaluations(data, b) for b in betas]
+            estimator._LAYOUTS[data] = dataclasses.replace(layout, enumerated=rows)
+            assert [_evaluations(data, b) for b in betas] == blocked
 
 
 def test_the_bundled_panel_is_one_enumerated_block():
-    # T = 3: totals 1 and 2 both have three alternatives
+    # T = 3: rows of total 2 are stored as their complements, of total 1
     data = load_csv(separated_panel_path())
     (idx, diff), = estimator._layout(data).enumerated
     assert diff.shape[0] == 3 and set(data.choice_totals[idx].tolist()) == {1, 2}
@@ -707,7 +702,12 @@ def test_fit_enumerates_a_T5_panel_once(monkeypatch):
     monkeypatch.setattr(estimator, "attribute_batches", counted)
     result = fit(data)
     assert result.converged and result.iterations > 2
-    assert len(calls) == 1 and calls[0] is data
+    # once, on the complemented panel, whose totals are all at most T / 2
+    (panel,) = calls
+    x, y, k = _stored(data)
+    assert panel is not data and (2 * panel.choice_totals <= 5).all()
+    assert np.array_equal(panel.covariates, x) and np.array_equal(panel.outcomes, y)
+    assert np.array_equal(panel.choice_totals, k)
 
 
 def test_panels_with_the_same_covariates_keep_their_own_layouts():
@@ -835,9 +835,10 @@ _OVERFLOWING_LIKELIHOODS = {
         (0.0,), _DIFFERENCE, _DIFFERENCE,
     ),
     # every difference is finite, but 1e308 + 1.5e308 is not: an enumerated
-    # (T = 3) set, whose log-likelihood was NaN
+    # (T = 5) set, whose observed sum overflows, and so does an alternative's
+    # in its complement
     "enumerated sum": (
-        _sum_overflow_panel([0.0, 1e308, 1.5e308], [1, 0, 1]), (0.0,),
+        _sum_overflow_panel([0.0, 1e308, 1.5e308, 0.0, 0.0], [0, 1, 1, 0, 0]), (0.0,),
         "the log-likelihood is not finite", "the score or Hessian is not finite",
     ),
     # the same in a recursed (T = 14) set, whose log-likelihood was NaN at
@@ -858,6 +859,16 @@ def test_likelihood_rejects_covariate_differences_that_overflow(case):
             conditional_loglik(data, [beta])
         with pytest.raises(PanelDataError, match=f"^{score_message}.*; rescale them$"):
             conditional_score_and_hessian(data, [beta])
+
+
+def test_a_complemented_sum_that_no_longer_overflows():
+    # y = (1, 0, 1) is stored as its complement (0, 1, 0) on -x, whose observed
+    # sum adds no two large values, so the log-likelihood at beta = 0 is the
+    # enumerated -3 log 3; the covariance's squares still overflow
+    data = _sum_overflow_panel([0.0, 1e308, 1.5e308], [1, 0, 1])
+    assert conditional_loglik(data, [0.0]) == -3.0 * math.log(3.0) == -3.295836866004329
+    with pytest.raises(PanelDataError, match="^the score or Hessian is not finite.*; rescale them$"):
+        conditional_score_and_hessian(data, [0.0])
 
 
 def test_an_overflowing_noninformative_individual_is_ignored():
